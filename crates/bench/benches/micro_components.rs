@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the substrates: serialization, TF-IDF
-//! summarization, tokenization, matmul kernels, encoder forward, MC-Dropout
+//! summarization, tokenization, matmul kernels and their backward
+//! products, embedding-gradient scatter, encoder forward, MC-Dropout
 //! passes, MC-EL2N scoring and one RWR power-iteration step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -62,6 +63,54 @@ fn bench_matmul(c: &mut Criterion) {
     let bm = Matrix::from_fn(32, 32, |r, cc| ((r + cc * 7) as f32).cos());
     c.bench_function("matmul_48x32x32", |b| {
         b.iter(|| black_box(a.matmul(black_box(&bm))))
+    });
+}
+
+/// The backward products at the shapes one `train` pretraining step
+/// runs (tiny LM: d 32, FFN 64, REL-HETER quick vocabulary 2964, 16
+/// sequences of about 40 tokens, about 96 masked rows): `da = g·bᵀ` is
+/// `matmul_nt`, `db = aᵀ·g` is `matmul_tn`.
+fn bench_backward_products(c: &mut Criterion) {
+    let m = |r: usize, cc: usize, s: usize| {
+        Matrix::from_fn(r, cc, |i, j| ((i * 31 + j * 7 + s) as f32).sin())
+    };
+    for (name, rows, d_in, d_out) in [
+        ("seq40_32x32", 40, 32, 32),
+        ("seq40_32x64", 40, 32, 64),
+        ("tied_head_96x32x2964", 96, 32, 2964),
+    ] {
+        let (a, w, g) = (m(rows, d_in, 1), m(d_in, d_out, 2), m(rows, d_out, 3));
+        c.bench_function(&format!("matmul_nt_{name}"), |b| {
+            b.iter(|| black_box(g.matmul_nt(black_box(&w))))
+        });
+        c.bench_function(&format!("matmul_tn_{name}"), |b| {
+            b.iter(|| black_box(a.matmul_tn(black_box(&g))))
+        });
+    }
+}
+
+/// One batch of token-embedding lookups and its backward: 16 sequences
+/// of 40 ids gathered from a 2964×32 table whose gradient slot the tied
+/// head has already filled, as in pretraining.
+fn bench_gather_rows_backward(c: &mut Criterion) {
+    let table = Matrix::from_fn(2964, 32, |i, j| ((i * 13 + j) as f32).cos());
+    let seqs: Vec<Vec<usize>> = (0..16)
+        .map(|s| (0..40).map(|t| (s * 97 + t * 31) % 2964).collect())
+        .collect();
+    c.bench_function("gather_rows_backward_2964x32_16x40", |b| {
+        b.iter(|| {
+            let mut tape = Tape::new();
+            let t = tape.constant(table.clone());
+            let parts: Vec<_> = seqs.iter().map(|ids| tape.gather_rows(t, ids)).collect();
+            // Recorded last, so backward reaches it first, like the head.
+            let tied = tape.transpose(t);
+            let head = tape.mean_all(tied);
+            let stacked = tape.concat_rows(&parts);
+            let lookups = tape.mean_all(stacked);
+            let loss = tape.add(lookups, head);
+            tape.backward(loss);
+            black_box(tape.grad(t))
+        })
     });
 }
 
@@ -129,6 +178,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_serialize, bench_summarize, bench_tokenize, bench_matmul,
+              bench_backward_products, bench_gather_rows_backward,
               bench_encoder_forward, bench_train_step, bench_rwr_step
 }
 criterion_main!(benches);

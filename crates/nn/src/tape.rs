@@ -410,6 +410,10 @@ impl Op {
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
+    /// True once `grad` is known to hold no `-0.0`. Adding into such a
+    /// slot keeps it true: under round-to-nearest a sum is `-0.0` only
+    /// when both addends are. See [`add_gathered_grad`].
+    grad_no_neg_zero: bool,
     op: Op,
 }
 
@@ -449,6 +453,7 @@ impl Tape {
         self.nodes.push(Node {
             value,
             grad: None,
+            grad_no_neg_zero: false,
             op,
         });
         Var(self.nodes.len() - 1)
@@ -759,8 +764,7 @@ impl Tape {
         eps: f32,
     ) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        let xm = self.nodes[x.0].value.clone();
-        let (rows, cols) = xm.shape();
+        let (rows, cols) = self.nodes[x.0].value.shape();
         for v in [gamma, beta] {
             let shape = self.nodes[v.0].value.shape();
             if shape != (1, cols) {
@@ -771,23 +775,18 @@ impl Tape {
                 });
             }
         }
-        let gm = &self.nodes[gamma.0].value;
-        let bm = &self.nodes[beta.0].value;
         let mut normed = Matrix::zeros(rows, cols);
         let mut inv_std = Vec::with_capacity(rows);
-        let mut value = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let row = xm.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            inv_std.push(istd);
-            for (c, &xv) in row.iter().enumerate() {
-                let n = (xv - mean) * istd;
-                normed.set(r, c, n);
-                value.set(r, c, n * gm.get(0, c) + bm.get(0, c));
-            }
-        }
+        let value = layer_norm_forward(
+            &self.nodes[x.0].value,
+            &self.nodes[gamma.0].value,
+            &self.nodes[beta.0].value,
+            eps,
+            |r, istd, n| {
+                normed.row_mut(r).copy_from_slice(n);
+                inv_std.push(istd);
+            },
+        );
         Ok(self.push_timed(
             prof,
             value,
@@ -835,18 +834,14 @@ impl Tape {
             return x;
         }
         let prof = OpTimer::start();
-        assert!(p < 1.0, "dropout probability must be < 1");
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
-        let mask = Matrix::from_fn(rows, cols, |_, _| {
-            if rng.gen::<f32>() < keep {
-                scale
-            } else {
-                0.0
+        let xm = &self.nodes[x.0].value;
+        let mut mask = Matrix::zeros(xm.rows(), xm.cols());
+        let mut slots = mask.data_mut().iter_mut();
+        let value = dropout_forward(xm, p, rng, |m| {
+            if let Some(s) = slots.next() {
+                *s = m;
             }
         });
-        let value = self.nodes[x.0].value.hadamard(&mask);
         self.push_timed(prof, value, Op::Dropout { x, mask })
     }
 
@@ -1263,46 +1258,34 @@ impl Tape {
                 normed,
                 inv_std,
             } => {
-                let gm = self.nodes[gamma.0].value.clone();
+                let gm = self.nodes[gamma.0].value.row(0);
                 let (rows, cols) = normed.shape();
                 let mut dx = Matrix::zeros(rows, cols);
                 let mut dgamma = Matrix::zeros(1, cols);
                 let mut dbeta = Matrix::zeros(1, cols);
+                let mut dyh = vec![0.0f32; cols];
                 for (r, &istd) in inv_std.iter().enumerate() {
                     // dy-hat = g * gamma; standard layernorm backward per row.
-                    let mut dyh = vec![0.0f32; cols];
-                    for (c, d) in dyh.iter_mut().enumerate() {
-                        let gv = g.get(r, c);
-                        *d = gv * gm.get(0, c);
-                        dgamma.row_mut(0)[c] += gv * normed.get(r, c);
-                        dbeta.row_mut(0)[c] += gv;
+                    let (grow, nrow) = (g.row(r), normed.row(r));
+                    let (dgrow, dbrow) = (dgamma.row_mut(0), dbeta.row_mut(0));
+                    for c in 0..cols {
+                        let gv = grow[c];
+                        dyh[c] = gv * gm[c];
+                        dgrow[c] += gv * nrow[c];
+                        dbrow[c] += gv;
                     }
                     let mean_dyh = dyh.iter().sum::<f32>() / cols as f32;
-                    let mean_dyh_n = dyh
-                        .iter()
-                        .enumerate()
-                        .map(|(c, &d)| d * normed.get(r, c))
-                        .sum::<f32>()
-                        / cols as f32;
-                    for (c, &d) in dyh.iter().enumerate() {
-                        let n = normed.get(r, c);
-                        dx.set(r, c, istd * (d - mean_dyh - n * mean_dyh_n));
+                    let mean_dyh_n =
+                        dyh.iter().zip(nrow).map(|(&d, &n)| d * n).sum::<f32>() / cols as f32;
+                    for ((o, &d), &n) in dx.row_mut(r).iter_mut().zip(&dyh).zip(nrow) {
+                        *o = istd * (d - mean_dyh - n * mean_dyh_n);
                     }
                 }
                 self.add_grad(*x, dx);
                 self.add_grad(*gamma, dgamma);
                 self.add_grad(*beta, dbeta);
             }
-            Op::GatherRows { src, idx } => {
-                let (rows, cols) = self.nodes[src.0].value.shape();
-                let mut da = Matrix::zeros(rows, cols);
-                for (out_r, &src_r) in idx.iter().enumerate() {
-                    for (o, &x) in da.row_mut(src_r).iter_mut().zip(g.row(out_r)) {
-                        *o += x;
-                    }
-                }
-                self.add_grad(*src, da);
-            }
+            Op::GatherRows { src, idx } => add_gathered_grad(&mut self.nodes[src.0], idx, g),
             Op::Dropout { x, mask } => self.add_grad(*x, g.hadamard(mask)),
             Op::ConcatRows(parts) => {
                 let mut start = 0;
@@ -1767,7 +1750,7 @@ impl TapeExec for NoGradTape {
 
     fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let prof = OpTimer::start();
-        let (rows, cols) = self.slots[x.0].shape();
+        let cols = self.slots[x.0].cols();
         for v in [gamma, beta] {
             assert_eq!(
                 self.slots[v.0].shape(),
@@ -1775,23 +1758,13 @@ impl TapeExec for NoGradTape {
                 "layer_norm gain/bias must be (1,C)"
             );
         }
-        // Same per-row arithmetic as the recording tape, minus the `normed`
-        // and `inv_std` backward caches.
-        let mut value = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let row = self.slots[x.0].row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            for (c, &xv) in row.iter().enumerate() {
-                let n = (xv - mean) * istd;
-                value.set(
-                    r,
-                    c,
-                    n * self.slots[gamma.0].get(0, c) + self.slots[beta.0].get(0, c),
-                );
-            }
-        }
+        let value = layer_norm_forward(
+            &self.slots[x.0],
+            &self.slots[gamma.0],
+            &self.slots[beta.0],
+            eps,
+            |_, _, _| {},
+        );
         self.push(prof, op_idx::LAYER_NORM, value)
     }
 
@@ -1806,24 +1779,7 @@ impl TapeExec for NoGradTape {
             return x;
         }
         let prof = OpTimer::start();
-        assert!(p < 1.0, "dropout probability must be < 1");
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
-        let xm = &self.slots[x.0];
-        // Fused mask-multiply: identical draws in identical (row-major)
-        // order and the same `x * m` products as the recording tape's
-        // mask + hadamard, without materializing the mask. Streaming the
-        // backing slice keeps the per-element cost at one draw + one
-        // multiply (no index arithmetic).
-        let data: Vec<f32> = xm
-            .data()
-            .iter()
-            .map(|&v| {
-                let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-                v * m
-            })
-            .collect();
-        let value = Matrix::from_vec(xm.rows(), xm.cols(), data);
+        let value = dropout_forward(&self.slots[x.0], p, rng, |_| {});
         self.push(prof, op_idx::DROPOUT, value)
     }
 
@@ -1858,6 +1814,97 @@ impl TapeExec for NoGradTape {
         let value = self.slots[x.0].mean_rows();
         self.push(prof, op_idx::MEAN_ROWS, value)
     }
+}
+
+/// `GatherRows` backward: add the gradient `g` of `gather_rows(src, idx)`
+/// into `src`'s grad slot, touching only the rows `idx` names. Each one
+/// adds, once, its incoming rows summed in `idx` order from +0.0: the
+/// same `existing + ((0 + g₁) + g₂ …)` as adding a dense scatter matrix.
+/// The dense add also sent untouched elements through `+ 0.0`, which only
+/// rewrites `-0.0`, so a slot not known to be free of `-0.0` gets that
+/// pass first (exact, as the sums are never `-0.0`; DESIGN §15).
+fn add_gathered_grad(node: &mut Node, idx: &[usize], g: &Matrix) {
+    let (rows, cols) = node.value.shape();
+    if !node.grad_no_neg_zero {
+        if let Some(existing) = &mut node.grad {
+            for v in existing.data_mut() {
+                *v += 0.0;
+            }
+        }
+        node.grad_no_neg_zero = true;
+    }
+    let slot = node.grad.get_or_insert_with(|| Matrix::zeros(rows, cols));
+    let mut order: Vec<usize> = (0..idx.len()).collect();
+    order.sort_by_key(|&o| idx[o]);
+    let mut sum = vec![0.0f32; cols];
+    for group in order.chunk_by(|&a, &b| idx[a] == idx[b]) {
+        sum.fill(0.0);
+        for &o in group {
+            for (s, &x) in sum.iter_mut().zip(g.row(o)) {
+                *s += x;
+            }
+        }
+        for (d, &s) in slot.row_mut(idx[group[0]]).iter_mut().zip(&sum) {
+            *d += s;
+        }
+    }
+}
+
+/// Row-wise layer normalization, the forward kernel of both executors:
+/// `(x - mean) * inv_std * gamma + beta` per row, with `gamma` and `beta`
+/// `(1,C)`. `record(r, inv_std, normed_row)` sees each row's inverse
+/// standard deviation and normalized values before the affine step; the
+/// recording tape keeps them for backward, the tape-free one ignores them.
+fn layer_norm_forward(
+    x: &Matrix,
+    gamma: &Matrix,
+    beta: &Matrix,
+    eps: f32,
+    mut record: impl FnMut(usize, f32, &[f32]),
+) -> Matrix {
+    let (rows, cols) = x.shape();
+    let (gamma, beta) = (gamma.row(0), beta.row(0));
+    let mut value = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        let row = x.row(r);
+        let mean = row.iter().sum::<f32>() / cols as f32;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+        let istd = 1.0 / (var + eps).sqrt();
+        let out = value.row_mut(r);
+        for (o, &xv) in out.iter_mut().zip(row) {
+            *o = (xv - mean) * istd;
+        }
+        record(r, istd, out);
+        for ((o, &g), &b) in out.iter_mut().zip(gamma).zip(beta) {
+            *o = *o * g + b;
+        }
+    }
+    value
+}
+
+/// Inverted dropout with keep-probability `1-p`, the forward kernel of
+/// both executors: one `gen::<f32>()` draw per element in row-major order,
+/// mask value `1/(1-p)` or `0.0`, output `x * mask`. `record` sees each
+/// mask value in draw order; the recording tape stores them for backward.
+fn dropout_forward(
+    x: &Matrix,
+    p: f32,
+    rng: &mut impl rand::Rng,
+    mut record: impl FnMut(f32),
+) -> Matrix {
+    assert!(p < 1.0, "dropout probability must be < 1");
+    let keep = 1.0 - p;
+    let scale = 1.0 / keep;
+    let data = x
+        .data()
+        .iter()
+        .map(|&v| {
+            let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+            record(m);
+            v * m
+        })
+        .collect();
+    Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
 /// Exact GELU via erf approximation (tanh form, as used by BERT/RoBERTa).
@@ -2440,6 +2487,173 @@ mod tests {
         let y = exec.dropout(x, 0.5, &mut rng);
         assert_eq!(x, y, "inference-mode dropout must be the identity");
         assert_eq!(exec.len(), 1, "identity dropout must not push a value");
+    }
+
+    /// The `GatherRows` backward this crate shipped before
+    /// [`add_gathered_grad`]: scatter into a dense zero matrix, then add
+    /// it to the slot or become the slot. The bit-exactness oracle.
+    fn gather_backward_oracle(
+        slot: Option<Matrix>,
+        shape: (usize, usize),
+        idx: &[usize],
+        g: &Matrix,
+    ) -> Matrix {
+        let mut da = Matrix::zeros(shape.0, shape.1);
+        for (out_r, &src_r) in idx.iter().enumerate() {
+            for (o, &x) in da.row_mut(src_r).iter_mut().zip(g.row(out_r)) {
+                *o += x;
+            }
+        }
+        match slot {
+            Some(mut existing) => {
+                existing.add_assign(&da);
+                existing
+            }
+            None => da,
+        }
+    }
+
+    fn leaf_node(value: Matrix, grad: Option<Matrix>) -> Node {
+        Node {
+            value,
+            grad,
+            grad_no_neg_zero: false,
+            op: Op::Leaf,
+        }
+    }
+
+    #[test]
+    fn gather_backward_matches_the_dense_scatter_bit_for_bit() {
+        use crate::tensor::bits::{assert_same_bits, seeded};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let (rows, cols) = (30, 7);
+        for case in 0..40 {
+            // Unsorted, duplicated indices over a few rows, so most rows
+            // stay untouched.
+            let idx: Vec<usize> = (0..rng.gen_range(1..12))
+                .map(|_| rng.gen_range(0..rows / 3) * 3)
+                .collect();
+            let special = case % 2 == 1;
+            let g1 = seeded(idx.len(), cols, special, &mut rng);
+            let g2 = seeded(idx.len(), cols, special, &mut rng);
+            // An existing slot holding -0.0 everywhere it is not random,
+            // the one value a dense `+ 0.0` rewrites; or no slot at all.
+            let existing = (case % 4 < 2).then(|| {
+                let mut e = seeded(rows, cols, special, &mut rng);
+                for v in e.data_mut().iter_mut().step_by(2) {
+                    *v = -0.0;
+                }
+                e
+            });
+            let mut node = leaf_node(Matrix::zeros(rows, cols), existing.clone());
+            add_gathered_grad(&mut node, &idx, &g1);
+            let want = gather_backward_oracle(existing, (rows, cols), &idx, &g1);
+            let got = node.grad.clone().unwrap_or_else(|| Matrix::zeros(1, 1));
+            assert_same_bits(&got, &want, &format!("case {case}, first gather"));
+            // A second gather into the same slot takes the no-pass path.
+            add_gathered_grad(&mut node, &idx, &g2);
+            let want = gather_backward_oracle(Some(want), (rows, cols), &idx, &g2);
+            let got = node.grad.clone().unwrap_or_else(|| Matrix::zeros(1, 1));
+            assert_same_bits(&got, &want, &format!("case {case}, second gather"));
+        }
+    }
+
+    #[test]
+    fn gather_backward_on_the_tape_keeps_untouched_signed_zeros_exact() {
+        // `mul` is recorded after the gather, so backward fills `src`'s
+        // slot from it first: `mean' * (-0.0)` puts -0.0 into rows the
+        // gather never touches. Its dense scatter turned those into +0.0.
+        use crate::tensor::bits::assert_same_bits;
+        let src = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32 * 0.25 - 1.0);
+        let k = Matrix::from_fn(6, 3, |r, c| if (r + c) % 2 == 0 { -0.0 } else { 1.5 });
+        let idx = [4, 1, 4, 0];
+        let mut tape = Tape::new();
+        let s = tape.constant(src);
+        let picked = tape.gather_rows(s, &idx);
+        let kv = tape.constant(k.clone());
+        let scaled = tape.mul(s, kv);
+        let both = tape.concat_rows(&[picked, scaled]);
+        let loss = tape.mean_all(both);
+        tape.backward(loss);
+        let per_elem = 1.0 / (10 * 3) as f32;
+        let existing = Matrix::full(6, 3, per_elem).hadamard(&k);
+        let want =
+            gather_backward_oracle(Some(existing), (6, 3), &idx, &Matrix::full(4, 3, per_elem));
+        assert_same_bits(&tape.grad(s), &want, "tape gather backward");
+        assert!(want
+            .data()
+            .iter()
+            .all(|v| v.to_bits() != (-0.0f32).to_bits()));
+    }
+
+    /// Counts `next_u64` calls; dropout's `gen::<f32>()` makes exactly one.
+    struct CountingRng<'a> {
+        inner: &'a mut rand::rngs::StdRng,
+        draws: u64,
+    }
+
+    impl rand::RngCore for CountingRng<'_> {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn layer_norm_and_dropout_agree_bitwise_across_executors() {
+        use crate::tensor::bits::{assert_same_bits, seeded};
+        use rand::SeedableRng;
+        let mut data_rng = rand::rngs::StdRng::seed_from_u64(5);
+        for (rows, cols) in [(1, 1), (3, 16), (40, 64), (7, 33)] {
+            for special in [false, true] {
+                let what = format!("{rows}x{cols} special={special}");
+                let x = seeded(rows, cols, special, &mut data_rng);
+                let gamma = seeded(1, cols, false, &mut data_rng);
+                let beta = seeded(1, cols, false, &mut data_rng);
+                let run = |exec: &mut dyn FnMut(&mut CountingRng) -> (Matrix, Matrix)| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+                    let mut counter = CountingRng {
+                        inner: &mut rng,
+                        draws: 0,
+                    };
+                    let (ln, drop) = exec(&mut counter);
+                    let draws = counter.draws;
+                    (ln, drop, draws, rng.state())
+                };
+                let taped = run(&mut |rng| {
+                    let mut t = Tape::new();
+                    let (xv, g, b) = (
+                        t.constant(x.clone()),
+                        t.constant(gamma.clone()),
+                        t.constant(beta.clone()),
+                    );
+                    let ln = t.layer_norm(xv, g, b, 1e-5);
+                    let d = t.dropout(xv, 0.3, rng);
+                    (t.value(ln).clone(), t.value(d).clone())
+                });
+                let free = run(&mut |rng| {
+                    let mut t = NoGradTape::new();
+                    let (xv, g, b) = (
+                        t.constant(x.clone()),
+                        t.constant(gamma.clone()),
+                        t.constant(beta.clone()),
+                    );
+                    let ln = t.layer_norm(xv, g, b, 1e-5);
+                    let d = t.dropout(xv, 0.3, rng);
+                    (t.value(ln).clone(), t.value(d).clone())
+                });
+                assert_same_bits(&taped.0, &free.0, &format!("layer_norm {what}"));
+                assert_same_bits(&taped.1, &free.1, &format!("dropout {what}"));
+                assert_eq!(
+                    taped.2,
+                    (rows * cols) as u64,
+                    "{what}: one draw per element"
+                );
+                assert_eq!(taped.2, free.2, "{what}: draw counts differ");
+                assert_eq!(taped.3, free.3, "{what}: RNG end states differ");
+            }
+        }
     }
 
     #[test]

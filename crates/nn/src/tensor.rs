@@ -160,6 +160,7 @@ impl Matrix {
 
     /// `self @ other` — the classic ikj loop; the innermost loop is a
     /// contiguous axpy which LLVM turns into SIMD with `target-cpu=native`.
+    /// A zero `self` element contributes nothing and is skipped.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -168,29 +169,13 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Matrix {
-            rows: m,
-            cols: n,
-            data: out,
-        }
+        gemm(self, other, true)
     }
 
-    /// `self^T @ other` without materializing the transpose.
+    /// `self^T @ other` without materializing the transpose: the pki loop,
+    /// one `axpy` per nonzero `self[p][i]`. Each output element sums over
+    /// `p` in ascending order with zero `self` elements skipped, exactly
+    /// as `self.transpose().matmul(other)`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows,
@@ -199,19 +184,14 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
+        let (m, n) = (self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
-        // out[i][j] = sum_p self[p][i] * other[p][j]
-        for p in 0..k {
-            let arow = &self.data[p * m..(p + 1) * m];
-            let brow = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
+        if m > 0 && n > 0 {
+            for (arow, brow) in self.data.chunks_exact(m).zip(other.data.chunks_exact(n)) {
+                for (&av, orow) in arow.iter().zip(out.chunks_exact_mut(n)) {
+                    if av != 0.0 {
+                        axpy(orow, av, brow);
+                    }
                 }
             }
         }
@@ -222,7 +202,9 @@ impl Matrix {
         }
     }
 
-    /// `self @ other^T` without materializing the transpose.
+    /// `self @ other^T`. Each output element is the plain dot
+    /// `((0 + a₀b₀) + a₁b₁) + …` in ascending `k`, with no zero skip, so
+    /// a zero in `self` still meets a non-finite `other` element.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols,
@@ -231,32 +213,21 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        Matrix {
-            rows: m,
-            cols: n,
-            data: out,
-        }
+        gemm(self, &other.transpose(), false)
     }
 
-    /// Materialized transpose.
+    /// Materialized transpose. Fills the output row by row, so writes
+    /// are contiguous and only the reads stride.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        if self.rows > 0 {
+            for (c, orow) in out.data.chunks_exact_mut(self.rows).enumerate() {
+                for (o, &v) in orow
+                    .iter_mut()
+                    .zip(self.data[c..].iter().step_by(self.cols))
+                {
+                    *o = v;
+                }
             }
         }
         out
@@ -466,6 +437,43 @@ impl Matrix {
     }
 }
 
+/// `out += a * b` elementwise: the inner loop of all three products.
+///
+/// One rounded multiply then one rounded add per element (rustc never
+/// contracts them into an FMA). The loop is contiguous, so wide SIMD lanes
+/// run the same IEEE-754 operations per element as a scalar loop.
+#[inline(always)]
+fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
+    for (o, &bv) in out.iter_mut().zip(b) {
+        *o += a * bv;
+    }
+}
+
+/// `a @ b` for row-major `a (m×k)` and `b (k×n)`, the ikj loop behind
+/// [`Matrix::matmul`] and [`Matrix::matmul_nt`]. Each output element
+/// starts at `+0.0` and adds `a[i][p] * b[p][j]` for `p` in ascending
+/// order; `skip_zero` leaves out the terms whose `a` element compares
+/// equal to zero.
+fn gemm(a: &Matrix, b: &Matrix, skip_zero: bool) -> Matrix {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    debug_assert_eq!(k, b.rows);
+    let mut out = vec![0.0f32; m * n];
+    if k > 0 && n > 0 {
+        for (arow, orow) in a.data.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (&av, brow) in arow.iter().zip(b.data.chunks_exact(n)) {
+                if !(skip_zero && av == 0.0) {
+                    axpy(orow, av, brow);
+                }
+            }
+        }
+    }
+    Matrix {
+        rows: m,
+        cols: n,
+        data: out,
+    }
+}
+
 /// Numerically stable in-place softmax over a slice.
 pub fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -490,9 +498,167 @@ pub fn log_sum_exp(row: &[f32]) -> f32 {
     max + s.ln()
 }
 
+/// Helpers for the bit-exact kernel tests of this crate.
+#[cfg(test)]
+pub(crate) mod bits {
+    use super::Matrix;
+    use rand::Rng;
+
+    /// Bit equality, except that any NaN matches any NaN: Rust leaves NaN
+    /// payloads unspecified. Every other value, the sign of zero
+    /// included, must match exactly.
+    pub(crate) fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = (g.is_nan() && w.is_nan()) || g.to_bits() == w.to_bits();
+            assert!(same, "{what}: element {i} is {g:?}, oracle {w:?}");
+        }
+    }
+
+    /// Random values with about one element in eight replaced by ±0.0,
+    /// NaN or ±inf when `special` is set.
+    pub(crate) fn seeded(rows: usize, cols: usize, special: bool, rng: &mut impl Rng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            if special && rng.gen::<f32>() < 0.125 {
+                [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..5usize)]
+            } else {
+                (rng.gen::<f32>() - 0.5) * 4.0
+            }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::bits::{assert_same_bits, seeded};
+    use rand::{Rng, SeedableRng};
+
+    /// The ikj loop `matmul` ran before the shared kernel: the oracle.
+    fn matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    /// The pki loop `matmul_tn` ran before the shared kernel: the oracle.
+    fn matmul_tn_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.cols, a.rows, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let arow = &a.data[p * m..(p + 1) * m];
+            let brow = &b.data[p * n..(p + 1) * n];
+            for (i, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let orow = &mut out[i * n..(i + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    /// The serial dot `matmul_nt` ran before the shared kernel: the oracle.
+    fn matmul_nt_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let arow = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let brow = &b.data[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc += av * bv;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    #[test]
+    fn products_match_the_previous_loops_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut shapes = vec![
+            (40, 64, 64),
+            (40, 16, 40),
+            (40, 32, 48),
+            (1, 3000, 64),
+            (5, 2999, 17),
+        ];
+        for _ in 0..24 {
+            shapes.push((
+                rng.gen_range(1..9),
+                rng.gen_range(1..70),
+                rng.gen_range(1..40),
+            ));
+        }
+        for (m, k, n) in shapes {
+            for special in [false, true] {
+                let what = format!("m{m} k{k} n{n} special={special}");
+                let a = seeded(m, k, special, &mut rng);
+                let b = seeded(k, n, special, &mut rng);
+                assert_same_bits(
+                    &a.matmul(&b),
+                    &matmul_oracle(&a, &b),
+                    &format!("matmul {what}"),
+                );
+                let at = seeded(k, m, special, &mut rng);
+                assert_same_bits(
+                    &at.matmul_tn(&b),
+                    &matmul_tn_oracle(&at, &b),
+                    &format!("matmul_tn {what}"),
+                );
+                let bt = seeded(n, k, special, &mut rng);
+                assert_same_bits(
+                    &a.matmul_nt(&bt),
+                    &matmul_nt_oracle(&a, &bt),
+                    &format!("matmul_nt {what}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn each_product_keeps_its_zero_skip_rule() {
+        // A zero on the left meets an infinity on the right. `matmul` and
+        // `matmul_tn` skip the term and stay finite; `matmul_nt` never
+        // skipped, so 0 * inf = NaN reaches its output.
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Matrix::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
+        assert_eq!(a.matmul(&b).data(), &[2.0]);
+        assert_eq!(a.transpose().matmul_tn(&b).data(), &[2.0]);
+        assert!(a.matmul_nt(&b.transpose()).data()[0].is_nan());
+        // Zero-sized operands give zeros of the right shape.
+        assert_eq!(
+            Matrix::zeros(3, 0).matmul(&Matrix::zeros(0, 2)),
+            Matrix::zeros(3, 2)
+        );
+        assert_eq!(
+            Matrix::zeros(0, 3).matmul_tn(&Matrix::zeros(0, 2)),
+            Matrix::zeros(3, 2)
+        );
+        assert_eq!(
+            Matrix::zeros(2, 4).matmul_nt(&Matrix::zeros(0, 4)),
+            Matrix::zeros(2, 0)
+        );
+    }
 
     #[test]
     fn matmul_matches_by_hand() {

@@ -16,6 +16,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench checks (fingerprint, traced == untraced, served parity at tiny budgets)"
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> em-lint (repo invariants, 12 rules incl. concurrency family)"
 cargo run --release -q -p em-check --bin em-lint
 

@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo bench -p em-bench --bench table4_efficiency`
 
-use em_bench::alloc::{format_bytes, peak_bytes, reset_peak, CountingAllocator};
 use em_bench::methods::{run_method, Bench, MethodId};
 use em_bench::{experiment_seed, table};
 use em_data::synth::{BenchmarkId, Scale};
+use em_obs::alloc::{format_bytes, peak_bytes, reset_peak, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;

@@ -8,12 +8,12 @@
 //! Run: `cargo bench -p em-bench --bench table4b_scalability`
 
 use em_baselines::{evaluate_matcher, TDmatchBaseline};
-use em_bench::alloc::{format_bytes, peak_bytes, reset_peak, CountingAllocator};
 use em_bench::methods::Bench;
 use em_bench::{experiment_seed, table};
 use em_data::pair::GemDataset;
 use em_data::record::Table;
 use em_data::synth::{build, BenchmarkId, Scale};
+use em_obs::alloc::{format_bytes, peak_bytes, reset_peak, CountingAllocator};
 use promptem::pipeline::run_encoded;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

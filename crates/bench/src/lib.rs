@@ -1,10 +1,9 @@
 //! Shared experiment-harness utilities: scale handling, disk-cached
-//! backbone pretraining, table formatting, and a counting allocator for the
-//! memory column of Table 4.
+//! backbone pretraining, and table formatting. The memory column of
+//! Table 4 uses `em_obs::alloc`'s counting allocator.
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod harness;
 pub mod methods;
 pub mod table;

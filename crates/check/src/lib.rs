@@ -24,9 +24,10 @@
 //!   `scripts/ci.sh` as a hard gate.
 //!
 //! The record-time shape validation half of the story lives in `em-nn`
-//! itself (`Tape::try_*` + [`em_nn::tape::TapeError`]), as does the
-//! `PROMPTEM_SANITIZE=1` NaN/Inf sanitizer — this crate supplies the
-//! passes that need whole-graph or whole-repo visibility.
+//! itself (every tape op, in either mode, refuses bad operand shapes
+//! with a panic naming the op), as does the `PROMPTEM_SANITIZE=1`
+//! NaN/Inf sanitizer — this crate supplies the passes that need
+//! whole-graph or whole-repo visibility.
 
 #![warn(missing_docs)]
 
@@ -34,8 +35,6 @@ pub mod audit;
 pub mod gradcheck;
 pub mod lex;
 pub mod lint;
-#[doc(hidden)]
-pub mod lint_legacy;
 
 pub use audit::{audit_and_report, AuditReport, Diag};
 pub use gradcheck::gradcheck;

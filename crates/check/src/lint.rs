@@ -11,10 +11,6 @@
 //! that follows. Whole paths are allowlisted per rule where the
 //! invariant is *about* the location (clocks belong in
 //! `em-obs`/`em-bench`, `process::exit` in the CLI binary).
-//!
-//! The pre-token line scanner survives as [`crate::lint_legacy`] purely
-//! as a differential-testing oracle: a proptest generates adversarial
-//! source and asserts both scanners agree on the original seven rules.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -110,9 +106,7 @@ impl Rule {
     /// Why the rule exists (printed by `em-lint` on failure).
     pub fn rationale(self) -> &'static str {
         match self {
-            Rule::Unwrap => {
-                "library code must surface failures as Result/TapeError, not abort the process"
-            }
+            Rule::Unwrap => "library code must surface failures as a Result, not abort the process",
             Rule::Clock => {
                 "wall-clock reads belong behind em_obs::Stopwatch so timing stays greppable \
                  and training logic stays deterministic"

@@ -1,65 +1,147 @@
 //! Property tests for the `em-check` lexer and the token-level lint.
 //!
-//! Two properties carry the rewrite:
+//! Two properties carry the engine:
 //!
 //! * **Totality + span discipline.** Over generated (and truncated)
 //!   adversarial source — nested block comments, escaped quotes, raw
 //!   strings with hashes — `lex` never panics, returns tokens in order
 //!   with exact byte spans, leaves only whitespace between tokens, and
 //!   reports correct 1-based lines.
-//! * **Differential against the legacy scanner.** On sources built from
-//!   fragments where the old line scanner was *correct* (its blind spots
-//!   — multi-line chains, statement-scope escapes — are pinned
-//!   separately in `lint_fixture.rs` as intentional differences), the
-//!   token engine must report exactly the same `(line, rule)` findings
-//!   for the original seven rules.
+//! * **Findings compose.** Every fragment below states the findings it
+//!   must produce on its own, in library code and in a test file. On any
+//!   concatenation of fragments the engine must report exactly the union
+//!   of those findings, each shifted to its fragment's starting line, for
+//!   the original seven rules. Context-sensitive constructs (multi-line
+//!   chains, statement-scope escapes) are pinned separately in
+//!   `lint_fixture.rs`.
 
 use em_check::lex::lex;
-use em_check::lint::lint_source;
-use em_check::lint_legacy::lint_source_legacy;
+use em_check::lint::{lint_source, Rule};
 use proptest::collection;
 use proptest::prelude::*;
 
-/// Brace-balanced, newline-terminated fragments. Each is a construct the
-/// legacy scanner handled correctly, so concatenations stay inside the
-/// two engines' agreement zone while still exercising nested comments,
-/// escaped quotes, raw strings with hashes, char/lifetime ambiguity, and
-/// `#[cfg(test)]` regions.
-const FRAGMENTS: &[&str] = &[
-    "fn f() { let x = 1; }\n",
-    "let s = \"no patterns here\";\n",
-    "// comment with .unwrap() inside\n",
-    "/* block .expect( comment */\n",
-    "/* nested /* comments */ still comment .unwrap() */\n",
-    "/* spans\n   multiple Instant::now\n   lines */\n",
-    "let r = r#\"raw with # and \\ oddities\"#;\n",
-    "let r2 = r##\"double-hash \"# inside\"##;\n",
-    "let c = 'x';\n",
-    "let esc = '\\n';\n",
-    "let q = \"escaped \\\" quote .unwrap()\";\n",
-    "x.unwrap();\n",
-    "y.expect(\"msg\");\n",
-    "let t = Instant::now();\n",
-    "let g = thread_rng();\n",
-    "std::process::exit(1);\n",
-    "let _ = std::fs::write(\"p\", b\"x\");\n",
-    "let _ = File::create(\"p\");\n",
-    "let lt: &'static str = \"life\";\n",
-    "for i in 0..n { sum += i; }\n",
-    "#[cfg(test)]\nmod t {\n    fn u() { v.unwrap(); }\n}\n",
-    "x.unwrap(); // lint:allow(unwrap)\n",
-    "let tag = \"epoch_summary\";\n",
-    "em_obs::op_stats(\"weird\", 1, 2, 3, 4, 5, 6);\n",
+/// The seven rules of the original line scanner; the composition property
+/// covers these.
+const ORIGINAL_RULES: [Rule; 7] = [
+    Rule::Unwrap,
+    Rule::Clock,
+    Rule::Rng,
+    Rule::Exit,
+    Rule::EventName,
+    Rule::AtomicIo,
+    Rule::OpName,
+];
+
+/// A brace-balanced, newline-terminated source fragment and the
+/// `(line offset, rule)` findings it produces under library and test
+/// paths.
+struct Fragment {
+    src: &'static str,
+    lib: &'static [(usize, Rule)],
+    test: &'static [(usize, Rule)],
+}
+
+const fn clean(src: &'static str) -> Fragment {
+    Fragment {
+        src,
+        lib: &[],
+        test: &[],
+    }
+}
+
+/// Fragments exercising nested comments, escaped quotes, raw strings
+/// with hashes, char/lifetime ambiguity, `#[cfg(test)]` regions, escapes,
+/// and one finding per original rule.
+const FRAGMENTS: &[Fragment] = &[
+    clean("fn f() { let x = 1; }\n"),
+    clean("let s = \"no patterns here\";\n"),
+    clean("// comment with .unwrap() inside\n"),
+    clean("/* block .expect( comment */\n"),
+    clean("/* nested /* comments */ still comment .unwrap() */\n"),
+    clean("/* spans\n   multiple Instant::now\n   lines */\n"),
+    clean("let r = r#\"raw with # and \\ oddities\"#;\n"),
+    clean("let r2 = r##\"double-hash \"# inside\"##;\n"),
+    clean("let c = 'x';\n"),
+    clean("let esc = '\\n';\n"),
+    clean("let q = \"escaped \\\" quote .unwrap()\";\n"),
+    Fragment {
+        src: "x.unwrap();\n",
+        lib: &[(0, Rule::Unwrap)],
+        test: &[],
+    },
+    Fragment {
+        src: "y.expect(\"msg\");\n",
+        lib: &[(0, Rule::Unwrap)],
+        test: &[],
+    },
+    Fragment {
+        src: "fn g() {\n    z.unwrap();\n}\n",
+        lib: &[(1, Rule::Unwrap)],
+        test: &[],
+    },
+    Fragment {
+        src: "let t = Instant::now();\n",
+        lib: &[(0, Rule::Clock)],
+        test: &[(0, Rule::Clock)],
+    },
+    Fragment {
+        src: "let g = thread_rng();\n",
+        lib: &[(0, Rule::Rng)],
+        test: &[(0, Rule::Rng)],
+    },
+    Fragment {
+        src: "std::process::exit(1);\n",
+        lib: &[(0, Rule::Exit)],
+        test: &[(0, Rule::Exit)],
+    },
+    Fragment {
+        src: "let _ = std::fs::write(\"p\", b\"x\");\n",
+        lib: &[(0, Rule::AtomicIo)],
+        test: &[],
+    },
+    Fragment {
+        src: "let _ = File::create(\"p\");\n",
+        lib: &[(0, Rule::AtomicIo)],
+        test: &[],
+    },
+    clean("let lt: &'static str = \"life\";\n"),
+    clean("for i in 0..n { sum += i; }\n"),
+    clean("#[cfg(test)]\nmod t {\n    fn u() { v.unwrap(); }\n}\n"),
+    clean("x.unwrap(); // lint:allow(unwrap)\n"),
+    Fragment {
+        src: "let tag = \"epoch_summary\";\n",
+        lib: &[(0, Rule::EventName)],
+        test: &[],
+    },
+    Fragment {
+        src: "em_obs::op_stats(\"weird\", 1, 2, 3, 4, 5, 6);\n",
+        lib: &[(0, Rule::OpName)],
+        test: &[],
+    },
 ];
 
 fn build_source(picks: &[usize]) -> String {
-    picks.iter().map(|&i| FRAGMENTS[i]).collect()
+    picks.iter().map(|&i| FRAGMENTS[i].src).collect()
 }
 
-/// `(line, rule name)` multiset of findings, order-normalized.
-fn findings(violations: &[em_check::lint::Violation]) -> Vec<(usize, &'static str)> {
-    let mut out: Vec<(usize, &'static str)> =
-        violations.iter().map(|v| (v.line, v.rule.name())).collect();
+/// The findings `picks` must produce under `rel`: each fragment's own,
+/// shifted to the line the fragment starts on. Sorted `(line, rule name)`.
+fn expected_findings(rel: &str, picks: &[usize]) -> Vec<(usize, &'static str)> {
+    let mut out = Vec::new();
+    let mut first_line = 1;
+    for &i in picks {
+        let frag = &FRAGMENTS[i];
+        let own = if rel.contains("/tests/") {
+            frag.test
+        } else {
+            frag.lib
+        };
+        out.extend(
+            own.iter()
+                .map(|&(off, rule)| (first_line + off, rule.name())),
+        );
+        first_line += frag.src.matches('\n').count();
+    }
     out.sort();
     out
 }
@@ -108,20 +190,21 @@ proptest! {
     }
 
     #[test]
-    fn token_engine_agrees_with_the_legacy_scanner(
+    fn findings_are_the_union_of_each_fragments_own(
         picks in collection::vec(0usize..FRAGMENTS.len(), 1..16),
     ) {
         let src = build_source(&picks);
         for rel in ["crates/core/src/x.rs", "crates/core/tests/t.rs"] {
-            let new: Vec<_> = lint_source(rel, &src)
+            let mut got: Vec<_> = lint_source(rel, &src)
                 .into_iter()
-                .filter(|v| em_check::lint_legacy::LEGACY_RULES.contains(&v.rule))
+                .filter(|v| ORIGINAL_RULES.contains(&v.rule))
+                .map(|v| (v.line, v.rule.name()))
                 .collect();
-            let old = lint_source_legacy(rel, &src);
-            let (new_f, old_f) = (findings(&new), findings(&old));
+            got.sort();
+            let want = expected_findings(rel, &picks);
             prop_assert!(
-                new_f == old_f,
-                "engines diverged on {rel}: new={new_f:?} old={old_f:?}\nsource:\n{src}"
+                got == want,
+                "findings on {rel}: got={got:?} want={want:?}\nsource:\n{src}"
             );
         }
     }

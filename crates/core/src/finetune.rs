@@ -10,7 +10,7 @@ use crate::model::run_training;
 use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
 use em_lm::tokenizer::{CLS, SEP};
 use em_lm::{ClsHead, PretrainedLm};
-use em_nn::{AdamW, NoGradTape, ParamStore, Tape, TapeExec, Var};
+use em_nn::{AdamW, Mode, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ impl FineTuneModel {
     }
 
     /// Class logits for a batch; one tape shared across the batch.
-    fn forward_logits(&mut self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Var {
+    fn forward_logits(&mut self, tape: &mut Tape<impl Mode>, pairs: &[&EncodedPair]) -> Var {
         let mut pooled = Vec::with_capacity(pairs.len());
         for p in pairs {
             let ids = self.pair_ids(p);
@@ -84,7 +84,7 @@ impl FineTuneModel {
         self.head.logits(tape, &self.lm.store, stacked)
     }
 
-    fn forward_probs(&mut self, tape: &mut impl TapeExec, pairs: &[&EncodedPair]) -> Vec<f32> {
+    fn forward_probs(&mut self, tape: &mut Tape<impl Mode>, pairs: &[&EncodedPair]) -> Vec<f32> {
         let logits = self.forward_logits(tape, pairs);
         let probs = tape.softmax_rows(logits);
         let pm = tape.value(probs);
@@ -143,7 +143,7 @@ impl TunableMatcher for FineTuneModel {
         let mut out = Vec::with_capacity(pairs.len());
         for chunk in pairs.chunks(32) {
             let refs: Vec<&EncodedPair> = chunk.iter().collect();
-            let mut tape = NoGradTape::inference();
+            let mut tape = Tape::no_grad_inference();
             out.extend(self.forward_probs(&mut tape, &refs));
         }
         out
@@ -154,7 +154,7 @@ impl TunableMatcher for FineTuneModel {
             let mut out = Vec::with_capacity(pairs.len());
             for chunk in pairs.chunks(32) {
                 let refs: Vec<&EncodedPair> = chunk.iter().collect();
-                let mut tape = NoGradTape::new(); // dropout active, zero tape nodes
+                let mut tape = Tape::no_grad(); // dropout active, zero tape nodes
                 out.extend(self.forward_probs(&mut tape, &refs));
             }
             out
@@ -172,7 +172,7 @@ impl TunableMatcher for FineTuneModel {
     fn embed(&mut self, pairs: &[EncodedPair]) -> Vec<Vec<f32>> {
         let mut out = Vec::with_capacity(pairs.len());
         for p in pairs {
-            let mut tape = NoGradTape::inference();
+            let mut tape = Tape::no_grad_inference();
             let ids = self.pair_ids(p);
             let h = self
                 .lm

@@ -8,7 +8,7 @@ use crate::encode::{EncodedPair, Example};
 use crate::trainer::{PruneCfg, TrainCfg, TrainReport, TunableMatcher};
 use em_lm::prompt::{LabelWords, PromptMode, PromptTemplate, TemplateId, Verbalizer};
 use em_lm::PretrainedLm;
-use em_nn::{AdamW, Matrix, NoGradTape, ParamStore, Tape, TapeExec};
+use em_nn::{AdamW, Matrix, Mode, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -20,15 +20,15 @@ use std::sync::Arc;
 /// boundaries decide where worker RNG streams are split.
 const SCORE_CHUNK: usize = 32;
 
-/// Match probabilities for a batch of pairs on any executor — the recording
-/// [`Tape`] or the tape-free [`NoGradTape`]. Free-standing (not a method)
+/// Match probabilities for a batch of pairs on a tape of either mode —
+/// recording or value-only ([`em_nn::NoGrad`]). Free-standing (not a method)
 /// so scoring workers can run it against `&self` field borrows concurrently,
 /// each with its own tape and RNG stream. Only the `[MASK]` hidden state
 /// feeds the MLM head, so the forward takes the single-row last-layer path
 /// (`forward_mask_row`) — bit-exact with slicing the full forward,
 /// including its RNG draw count.
 fn forward_probs_on(
-    tape: &mut impl TapeExec,
+    tape: &mut Tape<impl Mode>,
     lm: &PretrainedLm,
     template: &PromptTemplate,
     verbalizer: &Verbalizer,
@@ -405,7 +405,7 @@ impl TunableMatcher for PromptEmModel {
         let (lm, template, verbalizer) = (&self.lm, &self.template, &self.verbalizer);
         em_pool::run_sharded(em_pool::threads(), chunks.len(), |i| {
             let refs: Vec<&EncodedPair> = chunks[i].iter().collect();
-            let mut tape = NoGradTape::inference();
+            let mut tape = Tape::no_grad_inference();
             let mut rng = StdRng::seed_from_u64(0);
             forward_probs_on(&mut tape, lm, template, verbalizer, cached, &refs, &mut rng)
         })
@@ -440,7 +440,7 @@ impl TunableMatcher for PromptEmModel {
                 let mut out = Vec::with_capacity(pairs.len());
                 for chunk in &chunks {
                     let refs: Vec<&EncodedPair> = chunk.iter().collect();
-                    let mut tape = NoGradTape::new(); // dropout active
+                    let mut tape = Tape::no_grad(); // dropout active
                     out.extend(forward_probs_on(
                         &mut tape, lm, template, verbalizer, cached, &refs, rng,
                     ));
@@ -460,7 +460,7 @@ impl TunableMatcher for PromptEmModel {
             let results = em_pool::run_sharded(threads, chunks.len(), |i| {
                 let refs: Vec<&EncodedPair> = chunks[i].iter().collect();
                 let mut wrng = StdRng::from_state(states[i]);
-                let mut tape = NoGradTape::new();
+                let mut tape = Tape::no_grad();
                 let probs = forward_probs_on(
                     &mut tape, lm, template, verbalizer, cached, &refs, &mut wrng,
                 );
@@ -493,7 +493,7 @@ impl TunableMatcher for PromptEmModel {
         let cached = cached_rows.as_ref();
         let mut out = Vec::with_capacity(pairs.len());
         for p in pairs {
-            let mut tape = NoGradTape::inference();
+            let mut tape = Tape::no_grad_inference();
             let h = self.template.forward_mask_row(
                 &mut tape,
                 &self.lm.store,
@@ -613,7 +613,7 @@ mod tests {
             &mut rng_a,
         );
         let nodes_before = em_nn::tape::nodes_recorded_on_thread();
-        let mut free = NoGradTape::new();
+        let mut free = Tape::no_grad();
         let b = forward_probs_on(
             &mut free,
             &model.lm,

@@ -236,7 +236,7 @@ impl TrainedMatcher {
     }
 
     /// Match probabilities over a batch of pairs via the tape-free path
-    /// (`NoGradTape`; values are bit-identical regardless of batch
+    /// (a `NoGrad` tape; values are bit-identical regardless of batch
     /// composition or thread count — every row-wise kernel computes each
     /// output row independently).
     pub fn predict_proba(&mut self, pairs: &[EncodedPair]) -> Vec<f32> {

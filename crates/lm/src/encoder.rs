@@ -7,7 +7,7 @@ use crate::config::LmConfig;
 use crate::tokenizer::PAD;
 use em_nn::layers::{Embedding, FeedForward, LayerNorm, MultiHeadSelfAttention};
 use em_nn::tape::burn_draws;
-use em_nn::{Matrix, ParamStore, TapeExec, Var};
+use em_nn::{Matrix, Mode, ParamStore, Tape, Var};
 use rand::Rng;
 
 /// One transformer block: post-LN self-attention + feed-forward.
@@ -55,7 +55,7 @@ impl EncoderLayer {
 
     fn forward(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         x: Var,
         mask: Option<&Matrix>,
@@ -83,7 +83,7 @@ impl EncoderLayer {
     #[allow(clippy::too_many_arguments)]
     fn forward_row(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         x: Var,
         row: usize,
@@ -92,7 +92,7 @@ impl EncoderLayer {
         rng: &mut impl Rng,
     ) -> Var {
         let (seq, d) = tape.value(x).shape();
-        let burn = tape.is_train() && self.dropout > 0.0;
+        let burn = tape.train && self.dropout > 0.0;
         let a = self.attn.forward_row(tape, store, x, row, mask_row, rng);
         if burn {
             burn_draws(rng, row * d);
@@ -163,7 +163,7 @@ impl Encoder {
     /// Embed token ids (token + position embeddings, LayerNorm, dropout).
     pub fn embed(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         ids: &[usize],
         rng: &mut impl Rng,
@@ -181,7 +181,7 @@ impl Encoder {
     /// prefix of non-padding positions (attention is masked past it).
     pub fn forward_embedded(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         mut x: Var,
         valid_len: usize,
@@ -209,7 +209,7 @@ impl Encoder {
     /// [`Encoder::dropout_draws`] holds for this path too.
     pub fn forward_embedded_row(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         mut x: Var,
         valid_len: usize,
@@ -258,7 +258,7 @@ impl Encoder {
     /// Embed and encode a token id sequence; the standard entry point.
     pub fn forward(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         ids: &[usize],
         rng: &mut impl Rng,

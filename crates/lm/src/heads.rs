@@ -5,7 +5,7 @@
 
 use crate::encoder::Encoder;
 use em_nn::layers::{LayerNorm, Linear};
-use em_nn::{Matrix, ParamId, ParamStore, TapeExec, Var};
+use em_nn::{Matrix, Mode, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
 
 /// MLM head: `logits = LayerNorm(gelu(h W)) E^T + b` with the decoder
@@ -34,7 +34,7 @@ impl MlmHead {
     /// Vocabulary logits for a matrix of hidden rows `(n, d)` → `(n, V)`.
     pub fn logits(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         encoder: &Encoder,
         hidden: Var,
@@ -73,7 +73,7 @@ impl ClsHead {
     }
 
     /// Class logits for a matrix of pooled rows `(n, d)` → `(n, classes)`.
-    pub fn logits(&self, tape: &mut impl TapeExec, store: &ParamStore, pooled: Var) -> Var {
+    pub fn logits(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, pooled: Var) -> Var {
         self.proj.forward(tape, store, pooled)
     }
 }

@@ -6,7 +6,7 @@
 use crate::encoder::Encoder;
 use crate::tokenizer::{Tokenizer, CLS, MASK, SEP};
 use em_nn::layers::{BiLstm, Linear};
-use em_nn::{init, Matrix, NoGradTape, ParamId, ParamStore, TapeExec, Var};
+use em_nn::{init, Matrix, Mode, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
 
 /// The two templates of §3.1:
@@ -98,7 +98,7 @@ impl Verbalizer {
     /// Eq. 1: class probability = mean probability of the class's label
     /// words. Input `logits` is `(n, V)`; output is `(n, 2)` with column 0 =
     /// P(yes|x), column 1 = P(no|x).
-    pub fn class_probs(&self, tape: &mut impl TapeExec, logits: Var) -> Var {
+    pub fn class_probs(&self, tape: &mut Tape<impl Mode>, logits: Var) -> Var {
         let probs = tape.softmax_rows(logits);
         let mut m = Matrix::zeros(self.vocab, 2);
         for &w in &self.yes_ids {
@@ -168,7 +168,7 @@ impl PromptEncoder {
     }
 
     /// Compute the `(n_tokens, d)` prompt embedding rows.
-    pub fn rows(&self, tape: &mut impl TapeExec, store: &ParamStore) -> Var {
+    pub fn rows(&self, tape: &mut Tape<impl Mode>, store: &ParamStore) -> Var {
         let raw = tape.param(store, self.table);
         let h = self.lstm.forward(tape, store, raw);
         let delta = self.proj.forward(tape, store, h);
@@ -287,7 +287,7 @@ impl PromptTemplate {
     /// `None` for hard templates.
     pub fn prompt_rows_matrix(&self, store: &ParamStore) -> Option<Matrix> {
         self.encoder.as_ref().map(|pe| {
-            let mut tape = NoGradTape::inference();
+            let mut tape = Tape::no_grad_inference();
             let rows = pe.rows(&mut tape, store);
             tape.value(rows).clone()
         })
@@ -309,7 +309,7 @@ impl PromptTemplate {
     /// position.
     pub fn forward(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         lm: &Encoder,
         ids_a: &[usize],
@@ -327,7 +327,7 @@ impl PromptTemplate {
     #[allow(clippy::too_many_arguments)]
     pub fn forward_with_rows(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         lm: &Encoder,
         ids_a: &[usize],
@@ -350,7 +350,7 @@ impl PromptTemplate {
     #[allow(clippy::too_many_arguments)]
     pub fn forward_mask_row(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         lm: &Encoder,
         ids_a: &[usize],
@@ -369,7 +369,7 @@ impl PromptTemplate {
     #[allow(clippy::too_many_arguments)]
     fn embed_template(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         lm: &Encoder,
         ids_a: &[usize],

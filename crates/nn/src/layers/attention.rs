@@ -3,7 +3,7 @@
 
 use super::linear::Linear;
 use crate::optim::ParamStore;
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -86,72 +86,66 @@ impl MultiHeadSelfAttention {
         Matrix::from_fn(1, seq_len, |_, c| if c < valid_len { 0.0 } else { -1e9 })
     }
 
+    /// `x` is `(seq, d_model)`; `mask` (optional) is `(seq, seq)` additive.
+    pub fn forward(
+        &self,
+        tape: &mut Tape<impl Mode>,
+        store: &ParamStore,
+        x: Var,
+        mask: Option<&Matrix>,
+        rng: &mut impl Rng,
+    ) -> Var {
+        self.attend(tape, store, x, None, mask, rng)
+    }
+
     /// [`MultiHeadSelfAttention::forward`] restricted to one query row:
     /// keys and values still span the full sequence, but the query
     /// projection, scores, softmax and output projection cover row `row`
-    /// only. Bit-exact with row `row` of the full forward — every kernel
-    /// in the path accumulates each output row independently and in the
-    /// same element order — and RNG-transparent: the dropout draws for
-    /// the skipped score rows are burned at their exact stream positions
-    /// ([`crate::tape::burn_draws`]), so the generator leaves this call
-    /// in the state the full forward would have left it.
+    /// only, under the `(1, seq)` `mask_row`. Bit-exact with row `row` of
+    /// the full forward — every kernel in the path accumulates each output
+    /// row independently and in the same element order — and
+    /// RNG-transparent: the dropout draws for the skipped score rows are
+    /// burned at their exact stream positions
+    /// ([`crate::tape::burn_draws`]), so the generator leaves this call in
+    /// the state the full forward would have left it.
     pub fn forward_row(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         x: Var,
         row: usize,
         mask_row: Option<&Matrix>,
         rng: &mut impl Rng,
     ) -> Var {
-        let seq = tape.value(x).rows();
-        let xr = tape.slice_rows(x, row, 1);
-        let q = self.wq.forward(tape, store, xr);
-        let k = self.wk.forward(tape, store, x);
-        let v = self.wv.forward(tape, store, x);
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let burn = tape.is_train() && self.dropout > 0.0;
-
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let off = h * self.d_head;
-            let qh = tape.slice_cols(q, off, self.d_head);
-            let kh = tape.slice_cols(k, off, self.d_head);
-            let vh = tape.slice_cols(v, off, self.d_head);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
-            let scores = tape.scale(scores, scale);
-            let scores = match mask_row {
-                Some(m) => tape.add_const(scores, m),
-                None => scores,
-            };
-            let attn = tape.softmax_rows(scores);
-            if burn {
-                crate::tape::burn_draws(rng, row * seq);
-            }
-            let attn = tape.dropout(attn, self.dropout, rng);
-            if burn {
-                crate::tape::burn_draws(rng, (seq - 1 - row) * seq);
-            }
-            head_outputs.push(tape.matmul(attn, vh));
-        }
-        let concat = tape.concat_cols(&head_outputs);
-        self.wo.forward(tape, store, concat)
+        self.attend(tape, store, x, Some(row), mask_row, rng)
     }
 
-    /// `x` is `(seq, d_model)`; `mask` (optional) is `(seq, seq)` additive.
-    pub fn forward(
+    /// The body of both forwards. With `row`, queries come from that row
+    /// of `x` alone and the draws of the other score rows are burned.
+    fn attend(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         x: Var,
+        row: Option<usize>,
         mask: Option<&Matrix>,
         rng: &mut impl Rng,
     ) -> Var {
-        let q = self.wq.forward(tape, store, x);
+        let seq = tape.value(x).rows();
+        let xq = match row {
+            Some(r) => tape.slice_rows(x, r, 1),
+            None => x,
+        };
+        let q = self.wq.forward(tape, store, xq);
         let k = self.wk.forward(tape, store, x);
         let v = self.wv.forward(tape, store, x);
         let scale = 1.0 / (self.d_head as f32).sqrt();
+        // Per head, the full forward's draws for score rows before and
+        // after `row`.
+        let (burn_before, burn_after) = match row {
+            Some(r) if tape.train && self.dropout > 0.0 => (r * seq, (seq - 1 - r) * seq),
+            _ => (0, 0),
+        };
 
         let mut head_outputs = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
@@ -167,7 +161,9 @@ impl MultiHeadSelfAttention {
                 None => scores,
             };
             let attn = tape.softmax_rows(scores);
+            crate::tape::burn_draws(rng, burn_before);
             let attn = tape.dropout(attn, self.dropout, rng);
+            crate::tape::burn_draws(rng, burn_after);
             head_outputs.push(tape.matmul(attn, vh));
         }
         let concat = tape.concat_cols(&head_outputs);

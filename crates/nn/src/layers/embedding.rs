@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::optim::{ParamId, ParamStore};
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use rand::Rng;
 
 /// A `(vocab, dim)` lookup table. The table's [`ParamId`] is public so an MLM
@@ -31,14 +31,14 @@ impl Embedding {
     }
 
     /// Look up a sequence of token ids, producing a `(len, dim)` var.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, ids: &[usize]) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, ids: &[usize]) -> Var {
         debug_assert!(ids.iter().all(|&i| i < self.vocab), "token id out of vocab");
         let table = tape.param(store, self.table);
         tape.gather_rows(table, ids)
     }
 
     /// The raw table as a tape var (for tied output projections).
-    pub fn table_var(&self, tape: &mut impl TapeExec, store: &ParamStore) -> Var {
+    pub fn table_var(&self, tape: &mut Tape<impl Mode>, store: &ParamStore) -> Var {
         tape.param(store, self.table)
     }
 }

@@ -2,7 +2,7 @@
 
 use super::linear::Linear;
 use crate::optim::ParamStore;
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use rand::Rng;
 
 /// Position-wise feed-forward block: `fc2(dropout(gelu(fc1(x))))`.
@@ -36,7 +36,7 @@ impl FeedForward {
     /// Apply the block to `(rows, d_model)` input.
     pub fn forward(
         &self,
-        tape: &mut impl TapeExec,
+        tape: &mut Tape<impl Mode>,
         store: &ParamStore,
         x: Var,
         rng: &mut impl Rng,

@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::optim::{ParamId, ParamStore};
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -62,7 +62,7 @@ impl Linear {
     }
 
     /// Apply the affine map to `(rows, in_dim)` input.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, x: Var) -> Var {
         let w = tape.param(store, self.w);
         let y = tape.matmul(x, w);
         match self.b {
@@ -102,7 +102,7 @@ impl Mlp {
     }
 
     /// Apply `fc2(relu(fc1(x)))`.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, x: Var) -> Var {
         let h = self.fc1.forward(tape, store, x);
         let h = tape.relu(h);
         self.fc2.forward(tape, store, h)

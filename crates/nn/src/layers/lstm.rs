@@ -4,7 +4,7 @@
 
 use crate::init;
 use crate::optim::{ParamId, ParamStore};
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -57,7 +57,7 @@ impl Lstm {
     }
 
     /// Returns the sequence of hidden states `(seq, hidden)`.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, x: Var) -> Var {
         let seq = tape.value(x).rows();
         let w_ih = tape.param(store, self.w_ih);
         let w_hh = tape.param(store, self.w_hh);
@@ -116,7 +116,7 @@ impl BiLstm {
     }
 
     /// Run both directions and concatenate per position → `(seq, 2*hidden)`.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, x: Var) -> Var {
         let seq = tape.value(x).rows();
         let hf = self.fwd.forward(tape, store, x);
         // Reverse the sequence for the backward direction, then un-reverse

@@ -1,7 +1,7 @@
 //! Learnable layer normalization.
 
 use crate::optim::{ParamId, ParamStore};
-use crate::tape::{TapeExec, Var};
+use crate::tape::{Mode, Tape, Var};
 use crate::tensor::Matrix;
 
 /// Row-wise LayerNorm with learnable gain and bias.
@@ -28,7 +28,7 @@ impl LayerNorm {
     }
 
     /// Normalize each row and apply gain/bias.
-    pub fn forward(&self, tape: &mut impl TapeExec, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, tape: &mut Tape<impl Mode>, store: &ParamStore, x: Var) -> Var {
         let gamma = tape.param(store, self.gamma);
         let beta = tape.param(store, self.beta);
         tape.layer_norm(x, gamma, beta, self.eps)

@@ -28,5 +28,5 @@ pub mod tensor;
 
 pub use optim::{AdamW, ParamId, ParamStore, Sgd};
 pub use schedule::LrSchedule;
-pub use tape::{NoGradTape, Tape, TapeExec, Var};
+pub use tape::{Mode, NoGrad, Record, Tape, Var};
 pub use tensor::Matrix;

@@ -1,9 +1,17 @@
 //! Reverse-mode automatic differentiation over [`Matrix`] values.
 //!
 //! A [`Tape`] is built per forward pass (typically one per mini-batch). Ops
-//! append nodes; [`Tape::backward`] walks the node list in reverse and fills
-//! per-node gradients; [`Tape::accumulate_param_grads`] folds leaf gradients
-//! back into the shared [`ParamStore`](crate::optim::ParamStore).
+//! append values; [`Tape::backward`] walks the recorded ops in reverse and
+//! fills per-node gradients; [`Tape::accumulate_param_grads`] folds leaf
+//! gradients back into the shared [`ParamStore`](crate::optim::ParamStore).
+//!
+//! One executor serves both roles of a forward pass. Its [`Mode`] is a type
+//! parameter: a [`Record`] tape keeps, beside each value, the op entry and
+//! gradient slot that backward needs; a [`NoGrad`] tape keeps the values
+//! alone. Each op is written once, checks its operands the same way in both
+//! modes, and builds its backward payload only when recording. Model
+//! forwards take `&mut Tape<impl Mode>`; `backward`, the loss ops and the
+//! graph accessors exist only on `Tape<Record>`.
 //!
 //! Model parameters enter the tape through [`Tape::param`], which caches the
 //! leaf so a parameter used by many samples in one batch is materialized only
@@ -12,97 +20,53 @@
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::Matrix;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::opstats::{OpStatsTable, RelaxedWord};
 use std::sync::OnceLock;
 
-/// Handle to a node on a [`Tape`].
+/// Handle to a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
 impl Var {
-    /// The node index on its tape (stable; nodes are append-only).
+    /// The value's index on its tape (stable; values are append-only).
     pub fn index(self) -> usize {
         self.0
     }
 }
 
-/// A structural defect caught while recording (or differentiating) a tape.
-///
-/// Every shape constraint an op imposes is validated at record time and
-/// reported through this type, carrying the op name and the offending
-/// shapes, so callers and the `em-check` graph auditor get an actionable
-/// diagnostic instead of a bare `assert_eq!` abort.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TapeError {
-    /// Two operand shapes are incompatible for `op`.
-    ShapeMismatch {
-        /// Op being recorded.
-        op: &'static str,
-        /// Shape of the left/first operand.
-        lhs: (usize, usize),
-        /// Shape of the right/second operand.
-        rhs: (usize, usize),
-    },
-    /// A single operand violated an op's shape constraint.
-    BadShape {
-        /// Op being recorded.
-        op: &'static str,
-        /// The shape that was supplied.
-        got: (usize, usize),
-        /// What the op required, in words.
-        want: &'static str,
-    },
-    /// A class target index is out of range for the class dimension.
-    TargetOutOfRange {
-        /// Op being recorded.
-        op: &'static str,
-        /// The offending target.
-        target: usize,
-        /// Number of classes (columns) available.
-        classes: usize,
-    },
-    /// A row/column index reaches past the end of the operand.
-    IndexOutOfRange {
-        /// Op being recorded.
-        op: &'static str,
-        /// First out-of-range index.
-        index: usize,
-        /// Extent of the indexed dimension.
-        len: usize,
-    },
+/// What a [`Tape`] keeps besides forward values. Implemented by [`Record`]
+/// and [`NoGrad`] only.
+pub trait Mode: sealed::Sealed {
+    /// True when ops record the graph entries [`Tape::backward`] walks.
+    const RECORD: bool;
 }
 
-impl std::fmt::Display for TapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TapeError::ShapeMismatch { op, lhs, rhs } => write!(
-                f,
-                "tape op `{op}`: incompatible shapes {}x{} vs {}x{}",
-                lhs.0, lhs.1, rhs.0, rhs.1
-            ),
-            TapeError::BadShape { op, got, want } => write!(
-                f,
-                "tape op `{op}`: operand is {}x{}, need {want}",
-                got.0, got.1
-            ),
-            TapeError::TargetOutOfRange {
-                op,
-                target,
-                classes,
-            } => write!(
-                f,
-                "tape op `{op}`: target {target} out of {classes} classes"
-            ),
-            TapeError::IndexOutOfRange { op, index, len } => {
-                write!(f, "tape op `{op}`: index {index} out of range 0..{len}")
-            }
-        }
-    }
+/// Recording mode: each op also stores its inputs and backward caches, so
+/// the tape can be differentiated. The default mode of [`Tape`].
+pub struct Record;
+
+/// Value-only mode: each op pushes its value and nothing else — no op
+/// entries, no grad slots, no LayerNorm/dropout caches. Used by every
+/// inference path (teacher scoring, MC-dropout uncertainty, grid probes,
+/// prediction and serving).
+pub struct NoGrad;
+
+impl Mode for Record {
+    const RECORD: bool = true;
 }
 
-impl std::error::Error for TapeError {}
+impl Mode for NoGrad {
+    const RECORD: bool = false;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Record {}
+    impl Sealed for super::NoGrad {}
+}
 
 /// Runtime switch for the NaN/Inf sanitizer (see [`sanitize_enabled`]).
 static SANITIZE_FORCE: AtomicBool = AtomicBool::new(false);
@@ -166,16 +130,15 @@ pub fn set_op_profile(on: bool) {
 }
 
 /// The profiler's accumulation table, one slot per op in
-/// [`em_obs::names::ALL_OP_NAMES`] order (`Op::index` pins the
-/// correspondence; a test asserts it against `Op::name`). The swap-drain
+/// [`em_obs::names::ALL_OP_NAMES`] order (see [`slot`]). The swap-drain
 /// algorithm lives in [`crate::opstats`] behind the `StatWord` shim so
 /// the `em-sched` interleaving checker can model-check the identical
 /// code path (`crates/nn/tests/sched_opstats.rs`).
 static OP_TABLE: OpStatsTable<RelaxedWord, { em_obs::names::ALL_OP_NAMES.len() }> =
     OpStatsTable::new_relaxed();
 
-/// Forward-timing handle opened at recording-method entry when the
-/// profiler is on; [`Tape::push_timed`] closes it once the result exists.
+/// Forward-timing handle opened at op entry when the profiler is on;
+/// [`Tape::push`] closes it once the result exists.
 struct OpTimer {
     sw: em_obs::Stopwatch,
     bytes0: usize,
@@ -193,10 +156,10 @@ impl OpTimer {
         })
     }
 
-    fn finish(self, op_idx: usize, elems: usize) {
+    fn finish(self, slot: usize, elems: usize) {
         let grown = em_obs::alloc::current_bytes().saturating_sub(self.bytes0);
         OP_TABLE.record_fwd(
-            op_idx,
+            slot,
             (self.sw.secs() * 1e9) as u64,
             elems as u64,
             grown as u64,
@@ -230,9 +193,97 @@ pub fn flush_op_stats() {
     }
 }
 
+/// Each op's profiler slot: its position in [`em_obs::names::ALL_OP_NAMES`],
+/// looked up by name at compile time, so a name missing from the registry
+/// fails the build. Both modes pass the slot to [`Tape::push`]; a recorded
+/// node keeps it, which also names the node ([`Tape::op_name`]).
+mod slot {
+    use em_obs::names::ALL_OP_NAMES;
+
+    const fn of(name: &str) -> usize {
+        let want = name.as_bytes();
+        let mut i = 0;
+        while i < ALL_OP_NAMES.len() {
+            let have = ALL_OP_NAMES[i].as_bytes();
+            let mut j = 0;
+            while j < have.len() && j < want.len() && have[j] == want[j] {
+                j += 1;
+            }
+            if j == have.len() && j == want.len() {
+                return i;
+            }
+            i += 1;
+        }
+        panic!("op name missing from em_obs::names::ALL_OP_NAMES")
+    }
+
+    pub const LEAF: usize = of("leaf");
+    pub const MATMUL: usize = of("matmul");
+    pub const ADD: usize = of("add");
+    pub const ADD_ROW_BROADCAST: usize = of("add_row_broadcast");
+    pub const SUB: usize = of("sub");
+    pub const MUL: usize = of("mul");
+    pub const SCALE: usize = of("scale");
+    pub const ADD_CONST: usize = of("add_const");
+    pub const GRAD_REVERSE: usize = of("grad_reverse");
+    pub const TRANSPOSE: usize = of("transpose");
+    pub const TANH: usize = of("tanh");
+    pub const SIGMOID: usize = of("sigmoid");
+    pub const GELU: usize = of("gelu");
+    pub const RELU: usize = of("relu");
+    pub const SOFTMAX_ROWS: usize = of("softmax_rows");
+    pub const LAYER_NORM: usize = of("layer_norm");
+    pub const GATHER_ROWS: usize = of("gather_rows");
+    pub const DROPOUT: usize = of("dropout");
+    pub const CONCAT_ROWS: usize = of("concat_rows");
+    pub const CONCAT_COLS: usize = of("concat_cols");
+    pub const SLICE_ROWS: usize = of("slice_rows");
+    pub const SLICE_COLS: usize = of("slice_cols");
+    pub const MEAN_ROWS: usize = of("mean_rows");
+    pub const MEAN_ALL: usize = of("mean_all");
+    pub const CROSS_ENTROPY: usize = of("cross_entropy");
+    pub const MSE_LOSS: usize = of("mse_loss");
+    pub const NLL_PROBS: usize = of("nll_probs");
+}
+
+// Shape refusals. Every check reports through one of these, so the panic
+// always names the op, and `#[track_caller]` on the ops points it at the
+// caller's line.
+
+#[cold]
+#[track_caller]
+fn shape_mismatch(op: &str, lhs: (usize, usize), rhs: (usize, usize)) -> ! {
+    panic!(
+        "tape op `{op}`: incompatible shapes {}x{} vs {}x{}",
+        lhs.0, lhs.1, rhs.0, rhs.1
+    )
+}
+
+#[cold]
+#[track_caller]
+fn bad_shape(op: &str, got: (usize, usize), want: &str) -> ! {
+    panic!(
+        "tape op `{op}`: operand is {}x{}, need {want}",
+        got.0, got.1
+    )
+}
+
+#[cold]
+#[track_caller]
+fn index_out_of_range(op: &str, index: usize, len: usize) -> ! {
+    panic!("tape op `{op}`: index {index} out of range 0..{len}")
+}
+
+#[cold]
+#[track_caller]
+fn target_out_of_range(op: &str, target: usize, classes: usize) -> ! {
+    panic!("tape op `{op}`: target {target} out of {classes} classes")
+}
+
+/// A recorded op: its inputs and whatever its backward needs.
 enum Op {
-    /// Constant or parameter leaf. `param` is set when the leaf mirrors a
-    /// [`ParamStore`] entry and should receive gradient at the end.
+    /// Constant or parameter leaf; parameter leaves are listed in the
+    /// tape's `param_cache` and receive gradient at the end.
     Leaf,
     Matmul(Var, Var),
     Add(Var, Var),
@@ -252,7 +303,7 @@ enum Op {
     Sigmoid(Var),
     Gelu(Var),
     Relu(Var),
-    /// Row-wise softmax; caches output for the backward pass.
+    /// Row-wise softmax; backward reads the output value.
     SoftmaxRows(Var),
     /// Layer normalization over each row with learnable gain/bias (1,C).
     LayerNorm {
@@ -308,73 +359,6 @@ enum Op {
 }
 
 impl Op {
-    /// Static name of the op, used by diagnostics and telemetry.
-    fn name(&self) -> &'static str {
-        match self {
-            Op::Leaf => "leaf",
-            Op::Matmul(..) => "matmul",
-            Op::Add(..) => "add",
-            Op::AddRowBroadcast(..) => "add_row_broadcast",
-            Op::Sub(..) => "sub",
-            Op::Mul(..) => "mul",
-            Op::Scale(..) => "scale",
-            Op::AddConst(..) => "add_const",
-            Op::GradReverse(..) => "grad_reverse",
-            Op::Transpose(..) => "transpose",
-            Op::Tanh(..) => "tanh",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Gelu(..) => "gelu",
-            Op::Relu(..) => "relu",
-            Op::SoftmaxRows(..) => "softmax_rows",
-            Op::LayerNorm { .. } => "layer_norm",
-            Op::GatherRows { .. } => "gather_rows",
-            Op::Dropout { .. } => "dropout",
-            Op::ConcatRows(..) => "concat_rows",
-            Op::ConcatCols(..) => "concat_cols",
-            Op::SliceRows { .. } => "slice_rows",
-            Op::SliceCols { .. } => "slice_cols",
-            Op::MeanRows(..) => "mean_rows",
-            Op::MeanAll(..) => "mean_all",
-            Op::CrossEntropy { .. } => "cross_entropy",
-            Op::MseLoss { .. } => "mse_loss",
-            Op::NllProbs { .. } => "nll_probs",
-        }
-    }
-
-    /// The op's slot in the profiler table — its position in
-    /// [`em_obs::names::ALL_OP_NAMES`] (a test pins the correspondence).
-    fn index(&self) -> usize {
-        match self {
-            Op::Leaf => 0,
-            Op::Matmul(..) => 1,
-            Op::Add(..) => 2,
-            Op::AddRowBroadcast(..) => 3,
-            Op::Sub(..) => 4,
-            Op::Mul(..) => 5,
-            Op::Scale(..) => 6,
-            Op::AddConst(..) => 7,
-            Op::GradReverse(..) => 8,
-            Op::Transpose(..) => 9,
-            Op::Tanh(..) => 10,
-            Op::Sigmoid(..) => 11,
-            Op::Gelu(..) => 12,
-            Op::Relu(..) => 13,
-            Op::SoftmaxRows(..) => 14,
-            Op::LayerNorm { .. } => 15,
-            Op::GatherRows { .. } => 16,
-            Op::Dropout { .. } => 17,
-            Op::ConcatRows(..) => 18,
-            Op::ConcatCols(..) => 19,
-            Op::SliceRows { .. } => 20,
-            Op::SliceCols { .. } => 21,
-            Op::MeanRows(..) => 22,
-            Op::MeanAll(..) => 23,
-            Op::CrossEntropy { .. } => 24,
-            Op::MseLoss { .. } => 25,
-            Op::NllProbs { .. } => 26,
-        }
-    }
-
     /// The vars this op reads (its graph predecessors).
     fn inputs(&self) -> Vec<Var> {
         match self {
@@ -407,22 +391,48 @@ impl Op {
     }
 }
 
+/// The graph entry a [`Record`] tape keeps beside each value.
 struct Node {
-    value: Matrix,
     grad: Option<Matrix>,
     /// True once `grad` is known to hold no `-0.0`. Adding into such a
     /// slot keeps it true: under round-to-nearest a sum is `-0.0` only
     /// when both addends are. See [`add_gathered_grad`].
     grad_no_neg_zero: bool,
+    /// The op's profiler slot, which also names it.
+    slot: usize,
     op: Op,
 }
 
-/// A single-use computation graph.
-pub struct Tape {
+/// A single-use computation graph over an arena of forward values.
+///
+/// Only a recording tape can be differentiated; a value-only tape has no
+/// `backward`:
+///
+/// ```
+/// use em_nn::{Matrix, Tape};
+/// let mut tape = Tape::new();
+/// let x = tape.constant(Matrix::scalar(2.0));
+/// let y = tape.scale(x, 3.0);
+/// tape.backward(y);
+/// assert_eq!(tape.grad(x).item(), 3.0);
+/// ```
+///
+/// ```compile_fail,E0599
+/// use em_nn::{Matrix, Tape};
+/// let mut tape = Tape::no_grad();
+/// let x = tape.constant(Matrix::scalar(2.0));
+/// let y = tape.scale(x, 3.0);
+/// tape.backward(y);
+/// ```
+pub struct Tape<M: Mode = Record> {
+    values: Vec<Matrix>,
+    /// One entry per value on a [`Record`] tape; always empty on a
+    /// [`NoGrad`] one.
     nodes: Vec<Node>,
     param_cache: HashMap<ParamId, Var>,
     /// When false, `dropout` is the identity (inference mode).
     pub train: bool,
+    mode: PhantomData<M>,
 }
 
 impl Default for Tape {
@@ -434,62 +444,429 @@ impl Default for Tape {
 impl Tape {
     /// A fresh training-mode tape (dropout active).
     pub fn new() -> Self {
-        Tape {
-            nodes: Vec::with_capacity(256),
-            param_cache: HashMap::new(),
-            train: true,
-        }
+        Self::with_train(true)
     }
 
-    /// A tape whose dropout layers are disabled (deterministic inference).
+    /// A recording tape whose dropout layers are disabled (deterministic
+    /// inference).
     pub fn inference() -> Self {
-        let mut t = Self::new();
-        t.train = false;
-        t
+        Self::with_train(false)
+    }
+}
+
+impl Tape<NoGrad> {
+    /// A value-only tape with dropout active (MC-dropout scoring: the RNG
+    /// is consumed exactly as on a training-mode recording tape).
+    pub fn no_grad() -> Self {
+        Self::with_train(true)
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        NODES_PUSHED.with(|c| c.set(c.get() + 1));
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            grad_no_neg_zero: false,
-            op,
-        });
-        Var(self.nodes.len() - 1)
+    /// A value-only tape whose dropout layers are disabled (deterministic
+    /// prediction).
+    pub fn no_grad_inference() -> Self {
+        Self::with_train(false)
     }
+}
 
-    /// [`Tape::push`] plus op-profiler accounting. `timer` was started at
-    /// the recording method's entry (before the forward compute); `None`
-    /// when the profiler is off, in which case this is exactly `push`.
-    fn push_timed(&mut self, timer: Option<OpTimer>, value: Matrix, op: Op) -> Var {
-        if let Some(t) = timer {
-            t.finish(op.index(), value.len());
+impl<M: Mode> Tape<M> {
+    fn with_train(train: bool) -> Self {
+        Tape {
+            values: Vec::with_capacity(256),
+            nodes: Vec::with_capacity(if M::RECORD { 256 } else { 0 }),
+            param_cache: HashMap::new(),
+            train,
+            mode: PhantomData,
         }
-        self.push(value, op)
     }
 
-    /// Number of nodes recorded so far.
+    /// Store an op's result. `timer` was started at the op's entry (before
+    /// the forward compute), `None` when the profiler is off. `op` builds
+    /// the backward payload and runs only on a recording tape, before the
+    /// timer closes, so the profile charges the payload to its op.
+    #[inline]
+    fn push(
+        &mut self,
+        timer: Option<OpTimer>,
+        slot: usize,
+        value: Matrix,
+        op: impl FnOnce() -> Op,
+    ) -> Var {
+        let op = M::RECORD.then(op);
+        if let Some(t) = timer {
+            t.finish(slot, value.len());
+        }
+        if let Some(op) = op {
+            NODES_PUSHED.with(|c| c.set(c.get() + 1));
+            self.nodes.push(Node {
+                grad: None,
+                grad_no_neg_zero: false,
+                slot,
+                op,
+            });
+        }
+        self.values.push(value);
+        Var(self.values.len() - 1)
+    }
+
+    /// Number of values held so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.values.len()
     }
 
-    /// True when no node has been recorded.
+    /// True when no value has been computed.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.values.is_empty()
     }
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        &self.values[v.0]
     }
 
+    /// Insert a constant leaf (no gradient flows out of the tape).
+    pub fn constant(&mut self, value: Matrix) -> Var {
+        let prof = OpTimer::start();
+        self.push(prof, slot::LEAF, value, || Op::Leaf)
+    }
+
+    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
+    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        if let Some(&v) = self.param_cache.get(&id) {
+            return v;
+        }
+        let prof = OpTimer::start();
+        let value = store.value(id).clone();
+        let v = self.push(prof, slot::LEAF, value, || Op::Leaf);
+        self.param_cache.insert(id, v);
+        v
+    }
+
+    #[track_caller]
+    fn same_shape(&self, op: &str, a: Var, b: Var) {
+        let (la, lb) = (self.values[a.0].shape(), self.values[b.0].shape());
+        if la != lb {
+            shape_mismatch(op, la, lb);
+        }
+    }
+
+    /// Matrix product `a @ b`.
+    #[track_caller]
+    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (la, lb) = (self.values[a.0].shape(), self.values[b.0].shape());
+        if la.1 != lb.0 {
+            shape_mismatch("matmul", la, lb);
+        }
+        let value = self.values[a.0].matmul(&self.values[b.0]);
+        self.push(prof, slot::MATMUL, value, || Op::Matmul(a, b))
+    }
+
+    /// Elementwise sum (same shapes).
+    #[track_caller]
+    pub fn add(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        self.same_shape("add", a, b);
+        let value = self.values[a.0].add(&self.values[b.0]);
+        self.push(prof, slot::ADD, value, || Op::Add(a, b))
+    }
+
+    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
+    #[track_caller]
+    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        let (am, bm) = (&self.values[a.0], &self.values[b.0]);
+        if bm.rows() != 1 {
+            bad_shape("add_row_broadcast", bm.shape(), "a (1,C) row vector");
+        }
+        if am.cols() != bm.cols() {
+            shape_mismatch("add_row_broadcast", am.shape(), bm.shape());
+        }
+        let mut value = am.clone();
+        for r in 0..value.rows() {
+            for (v, &x) in value.row_mut(r).iter_mut().zip(bm.row(0)) {
+                *v += x;
+            }
+        }
+        self.push(prof, slot::ADD_ROW_BROADCAST, value, || {
+            Op::AddRowBroadcast(a, b)
+        })
+    }
+
+    /// Elementwise difference.
+    #[track_caller]
+    pub fn sub(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        self.same_shape("sub", a, b);
+        let value = self.values[a.0].sub(&self.values[b.0]);
+        self.push(prof, slot::SUB, value, || Op::Sub(a, b))
+    }
+
+    /// Elementwise (Hadamard) product.
+    #[track_caller]
+    pub fn mul(&mut self, a: Var, b: Var) -> Var {
+        let prof = OpTimer::start();
+        self.same_shape("mul", a, b);
+        let value = self.values[a.0].hadamard(&self.values[b.0]);
+        self.push(prof, slot::MUL, value, || Op::Mul(a, b))
+    }
+
+    /// Multiply every element by the constant `c`.
+    pub fn scale(&mut self, a: Var, c: f32) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].scale(c);
+        self.push(prof, slot::SCALE, value, || Op::Scale(a, c))
+    }
+
+    /// Add a constant matrix elementwise (no gradient to the constant).
+    #[track_caller]
+    pub fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
+        let prof = OpTimer::start();
+        let la = self.values[a.0].shape();
+        if la != k.shape() {
+            shape_mismatch("add_const", la, k.shape());
+        }
+        let value = self.values[a.0].add(k);
+        self.push(prof, slot::ADD_CONST, value, || Op::AddConst(a))
+    }
+
+    /// Gradient-reversal layer: forward identity, backward `-lambda * g`.
+    pub fn grad_reverse(&mut self, a: Var, lambda: f32) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].clone();
+        self.push(prof, slot::GRAD_REVERSE, value, || {
+            Op::GradReverse(a, lambda)
+        })
+    }
+
+    /// Matrix transpose.
+    pub fn transpose(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].transpose();
+        self.push(prof, slot::TRANSPOSE, value, || Op::Transpose(a))
+    }
+
+    /// Elementwise `tanh`.
+    pub fn tanh(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].map(f32::tanh);
+        self.push(prof, slot::TANH, value, || Op::Tanh(a))
+    }
+
+    /// Elementwise logistic sigmoid.
+    pub fn sigmoid(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
+        self.push(prof, slot::SIGMOID, value, || Op::Sigmoid(a))
+    }
+
+    /// Elementwise GELU (tanh approximation, as in BERT).
+    pub fn gelu(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].map(gelu);
+        self.push(prof, slot::GELU, value, || Op::Gelu(a))
+    }
+
+    /// Elementwise ReLU.
+    pub fn relu(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].map(|x| x.max(0.0));
+        self.push(prof, slot::RELU, value, || Op::Relu(a))
+    }
+
+    /// Row-wise softmax.
+    pub fn softmax_rows(&mut self, a: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[a.0].softmax_rows();
+        self.push(prof, slot::SOFTMAX_ROWS, value, || Op::SoftmaxRows(a))
+    }
+
+    /// Row-wise layer normalization, `(x - mean) * inv_std * gamma + beta`
+    /// per row. `gamma` and `beta` must be (1,C). A recording tape keeps
+    /// each row's normalized values and `inv_std` for backward.
+    #[track_caller]
+    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let prof = OpTimer::start();
+        let (rows, cols) = self.values[x.0].shape();
+        for v in [gamma, beta] {
+            let shape = self.values[v.0].shape();
+            if shape != (1, cols) {
+                shape_mismatch("layer_norm", (rows, cols), shape);
+            }
+        }
+        let (xm, gm, bm) = (
+            &self.values[x.0],
+            self.values[gamma.0].row(0),
+            self.values[beta.0].row(0),
+        );
+        let mut normed = Vec::with_capacity(if M::RECORD { rows * cols } else { 0 });
+        let mut inv_std = Vec::with_capacity(if M::RECORD { rows } else { 0 });
+        let mut value = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            let row = xm.row(r);
+            let mean = row.iter().sum::<f32>() / cols as f32;
+            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+            let istd = 1.0 / (var + eps).sqrt();
+            let out = value.row_mut(r);
+            for (o, &xv) in out.iter_mut().zip(row) {
+                *o = (xv - mean) * istd;
+            }
+            if M::RECORD {
+                normed.extend_from_slice(out);
+                inv_std.push(istd);
+            }
+            for ((o, &g), &b) in out.iter_mut().zip(gm).zip(bm) {
+                *o = *o * g + b;
+            }
+        }
+        self.push(prof, slot::LAYER_NORM, value, || Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            normed: Matrix::from_vec(rows, cols, normed),
+            inv_std,
+        })
+    }
+
+    /// Select rows of `src` by `idx` (duplicates allowed).
+    #[track_caller]
+    pub fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
+        let prof = OpTimer::start();
+        let rows = self.values[src.0].rows();
+        if let Some(&bad) = idx.iter().find(|&&i| i >= rows) {
+            index_out_of_range("gather_rows", bad, rows);
+        }
+        let value = self.values[src.0].gather_rows(idx);
+        self.push(prof, slot::GATHER_ROWS, value, || Op::GatherRows {
+            src,
+            idx: idx.to_vec(),
+        })
+    }
+
+    /// Inverted dropout with keep-probability `1-p`: one `gen::<f32>()`
+    /// draw per element in row-major order, mask value `1/(1-p)` or `0.0`,
+    /// output `x * mask`. Identity, drawing nothing, when the tape is in
+    /// inference mode or `p == 0`. A recording tape keeps the mask.
+    pub fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
+        if !self.train || p <= 0.0 {
+            return x;
+        }
+        assert!(p < 1.0, "dropout probability must be < 1");
+        let prof = OpTimer::start();
+        let xm = &self.values[x.0];
+        let (rows, cols) = xm.shape();
+        let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        // Filled through an iterator, not `push`: a push per draw in this
+        // loop made the recording forward nearly twice as slow.
+        let mut mask = vec![0.0f32; if M::RECORD { xm.len() } else { 0 }];
+        let mut slots = mask.iter_mut();
+        let data = xm
+            .data()
+            .iter()
+            .map(|&v| {
+                let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+                if M::RECORD {
+                    if let Some(s) = slots.next() {
+                        *s = m;
+                    }
+                }
+                v * m
+            })
+            .collect();
+        let value = Matrix::from_vec(rows, cols, data);
+        self.push(prof, slot::DROPOUT, value, || Op::Dropout {
+            x,
+            mask: Matrix::from_vec(rows, cols, mask),
+        })
+    }
+
+    /// Stack vars vertically (equal column counts).
+    #[track_caller]
+    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        let prof = OpTimer::start();
+        if let [first, rest @ ..] = parts {
+            let want = self.values[first.0].shape();
+            for p in rest {
+                let shape = self.values[p.0].shape();
+                if shape.1 != want.1 {
+                    shape_mismatch("concat_rows", want, shape);
+                }
+            }
+        }
+        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.values[v.0]).collect();
+        let value = Matrix::vstack(&mats);
+        self.push(prof, slot::CONCAT_ROWS, value, || {
+            Op::ConcatRows(parts.to_vec())
+        })
+    }
+
+    /// Stack vars horizontally (equal row counts).
+    #[track_caller]
+    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let prof = OpTimer::start();
+        if let [first, rest @ ..] = parts {
+            let want = self.values[first.0].shape();
+            for p in rest {
+                let shape = self.values[p.0].shape();
+                if shape.0 != want.0 {
+                    shape_mismatch("concat_cols", want, shape);
+                }
+            }
+        }
+        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.values[v.0]).collect();
+        let value = Matrix::hstack(&mats);
+        self.push(prof, slot::CONCAT_COLS, value, || {
+            Op::ConcatCols(parts.to_vec())
+        })
+    }
+
+    /// Copy of rows `[start, start+len)`.
+    #[track_caller]
+    pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let prof = OpTimer::start();
+        let rows = self.values[x.0].rows();
+        if start + len > rows {
+            index_out_of_range("slice_rows", start + len, rows);
+        }
+        let value = self.values[x.0].slice_rows(start, len);
+        self.push(prof, slot::SLICE_ROWS, value, || Op::SliceRows { x, start })
+    }
+
+    /// Copy of columns `[start, start+len)`.
+    #[track_caller]
+    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let prof = OpTimer::start();
+        let cols = self.values[x.0].cols();
+        if start + len > cols {
+            index_out_of_range("slice_cols", start + len, cols);
+        }
+        let value = self.values[x.0].slice_cols(start, len);
+        self.push(prof, slot::SLICE_COLS, value, || Op::SliceCols { x, start })
+    }
+
+    /// Mean over rows, producing a `(1, C)` row.
+    pub fn mean_rows(&mut self, x: Var) -> Var {
+        let prof = OpTimer::start();
+        let value = self.values[x.0].mean_rows();
+        self.push(prof, slot::MEAN_ROWS, value, || Op::MeanRows(x))
+    }
+
+    /// Mean of every element, producing a scalar var.
+    pub fn mean_all(&mut self, x: Var) -> Var {
+        let prof = OpTimer::start();
+        let m = &self.values[x.0];
+        let value = Matrix::scalar(m.sum() / m.len() as f32);
+        self.push(prof, slot::MEAN_ALL, value, || Op::MeanAll(x))
+    }
+}
+
+impl Tape<Record> {
     /// The gradient of `v` after [`Tape::backward`]; zeros if unused.
     pub fn grad(&self, v: Var) -> Matrix {
         match &self.nodes[v.0].grad {
             Some(g) => g.clone(),
             None => {
-                let (r, c) = self.nodes[v.0].value.shape();
+                let (r, c) = self.values[v.0].shape();
                 Matrix::zeros(r, c)
             }
         }
@@ -499,7 +876,7 @@ impl Tape {
 
     /// Static name of the op that produced `v`.
     pub fn op_name(&self, v: Var) -> &'static str {
-        self.nodes[v.0].op.name()
+        em_obs::names::ALL_OP_NAMES[self.nodes[v.0].slot]
     }
 
     /// The vars `v` was computed from (empty for leaves).
@@ -509,7 +886,7 @@ impl Tape {
 
     /// Forward shape of `v`.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
+        self.values[v.0].shape()
     }
 
     /// All recorded vars, in record order.
@@ -530,529 +907,78 @@ impl Tape {
         out
     }
 
-    // ---- op recording ----
+    // ---- losses ----
 
-    /// Insert a constant leaf (no gradient flows out of the tape).
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        let prof = OpTimer::start();
-        self.push_timed(prof, value, Op::Leaf)
-    }
-
-    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.param_cache.get(&id) {
-            return v;
-        }
-        let prof = OpTimer::start();
-        let value = store.value(id).clone();
-        let v = self.push_timed(prof, value, Op::Leaf);
-        self.param_cache.insert(id, v);
-        v
-    }
-
-    /// Unwrap a record-time result; the panic message is the structured
-    /// [`TapeError`] rendering, so even the infallible entry points abort
-    /// with the op name and both shapes.
+    /// Refuse a (matrix, class-target list) pairing a loss op cannot use.
     #[track_caller]
-    fn recorded(r: Result<Var, TapeError>) -> Var {
-        match r {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Tape::recorded`] for unit-returning entry points.
-    #[track_caller]
-    fn recorded_unit(r: Result<(), TapeError>) {
-        if let Err(e) = r {
-            panic!("{e}")
-        }
-    }
-
-    fn same_shape(&self, op: &'static str, a: Var, b: Var) -> Result<(), TapeError> {
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if la != lb {
-            return Err(TapeError::ShapeMismatch {
-                op,
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        Ok(())
-    }
-
-    /// Matrix product `a @ b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_matmul(a, b))
-    }
-
-    /// Shape-checked [`Tape::matmul`].
-    pub fn try_matmul(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if la.1 != lb.0 {
-            return Err(TapeError::ShapeMismatch {
-                op: "matmul",
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Matmul(a, b)))
-    }
-
-    /// Elementwise sum (same shapes).
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_add(a, b))
-    }
-
-    /// Shape-checked [`Tape::add`].
-    pub fn try_add(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("add", a, b)?;
-        let value = self.nodes[a.0].value.add(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Add(a, b)))
-    }
-
-    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
-    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_add_row_broadcast(a, b))
-    }
-
-    /// Shape-checked [`Tape::add_row_broadcast`].
-    pub fn try_add_row_broadcast(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let (la, lb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        if lb.0 != 1 {
-            return Err(TapeError::BadShape {
-                op: "add_row_broadcast",
-                got: lb,
-                want: "a (1,C) row vector",
-            });
-        }
-        if la.1 != lb.1 {
-            return Err(TapeError::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: la,
-                rhs: lb,
-            });
-        }
-        let am = &self.nodes[a.0].value;
-        let bm = &self.nodes[b.0].value;
-        let mut value = am.clone();
-        for r in 0..value.rows() {
-            for (v, &x) in value.row_mut(r).iter_mut().zip(bm.row(0)) {
-                *v += x;
-            }
-        }
-        Ok(self.push_timed(prof, value, Op::AddRowBroadcast(a, b)))
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_sub(a, b))
-    }
-
-    /// Shape-checked [`Tape::sub`].
-    pub fn try_sub(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("sub", a, b)?;
-        let value = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Sub(a, b)))
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        Self::recorded(self.try_mul(a, b))
-    }
-
-    /// Shape-checked [`Tape::mul`].
-    pub fn try_mul(&mut self, a: Var, b: Var) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        self.same_shape("mul", a, b)?;
-        let value = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
-        Ok(self.push_timed(prof, value, Op::Mul(a, b)))
-    }
-
-    /// Multiply every element by the constant `c`.
-    pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.scale(c);
-        self.push_timed(prof, value, Op::Scale(a, c))
-    }
-
-    /// Add a constant matrix elementwise (no gradient to the constant).
-    pub fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        Self::recorded(self.try_add_const(a, k))
-    }
-
-    /// Shape-checked [`Tape::add_const`].
-    pub fn try_add_const(&mut self, a: Var, k: &Matrix) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let la = self.nodes[a.0].value.shape();
-        if la != k.shape() {
-            return Err(TapeError::ShapeMismatch {
-                op: "add_const",
-                lhs: la,
-                rhs: k.shape(),
-            });
-        }
-        let value = self.nodes[a.0].value.add(k);
-        Ok(self.push_timed(prof, value, Op::AddConst(a)))
-    }
-
-    /// Gradient-reversal layer: forward identity, backward `-lambda * g`.
-    pub fn grad_reverse(&mut self, a: Var, lambda: f32) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.clone();
-        self.push_timed(prof, value, Op::GradReverse(a, lambda))
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.transpose();
-        self.push_timed(prof, value, Op::Transpose(a))
-    }
-
-    /// Elementwise `tanh`.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(f32::tanh);
-        self.push_timed(prof, value, Op::Tanh(a))
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push_timed(prof, value, Op::Sigmoid(a))
-    }
-
-    /// Elementwise GELU (tanh approximation, as in BERT).
-    pub fn gelu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(gelu);
-        self.push_timed(prof, value, Op::Gelu(a))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.map(|x| x.max(0.0));
-        self.push_timed(prof, value, Op::Relu(a))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[a.0].value.softmax_rows();
-        self.push_timed(prof, value, Op::SoftmaxRows(a))
-    }
-
-    /// Row-wise layer normalization. `gamma` and `beta` must be (1,C).
-    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        Self::recorded(self.try_layer_norm(x, gamma, beta, eps))
-    }
-
-    /// Shape-checked [`Tape::layer_norm`].
-    pub fn try_layer_norm(
-        &mut self,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        eps: f32,
-    ) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        for v in [gamma, beta] {
-            let shape = self.nodes[v.0].value.shape();
-            if shape != (1, cols) {
-                return Err(TapeError::ShapeMismatch {
-                    op: "layer_norm",
-                    lhs: (rows, cols),
-                    rhs: shape,
-                });
-            }
-        }
-        let mut normed = Matrix::zeros(rows, cols);
-        let mut inv_std = Vec::with_capacity(rows);
-        let value = layer_norm_forward(
-            &self.nodes[x.0].value,
-            &self.nodes[gamma.0].value,
-            &self.nodes[beta.0].value,
-            eps,
-            |r, istd, n| {
-                normed.row_mut(r).copy_from_slice(n);
-                inv_std.push(istd);
-            },
-        );
-        Ok(self.push_timed(
-            prof,
-            value,
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                normed,
-                inv_std,
-            },
-        ))
-    }
-
-    /// Select rows of `src` by `idx` (duplicates allowed).
-    pub fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        Self::recorded(self.try_gather_rows(src, idx))
-    }
-
-    /// Shape-checked [`Tape::gather_rows`].
-    pub fn try_gather_rows(&mut self, src: Var, idx: &[usize]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let rows = self.nodes[src.0].value.rows();
-        if let Some(&bad) = idx.iter().find(|&&i| i >= rows) {
-            return Err(TapeError::IndexOutOfRange {
-                op: "gather_rows",
-                index: bad,
-                len: rows,
-            });
-        }
-        let value = self.nodes[src.0].value.gather_rows(idx);
-        Ok(self.push_timed(
-            prof,
-            value,
-            Op::GatherRows {
-                src,
-                idx: idx.to_vec(),
-            },
-        ))
-    }
-
-    /// Inverted dropout with keep-probability `1-p`. Identity when the tape
-    /// is in inference mode or `p == 0`.
-    pub fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
-        if !self.train || p <= 0.0 {
-            return x;
-        }
-        let prof = OpTimer::start();
-        let xm = &self.nodes[x.0].value;
-        let mut mask = Matrix::zeros(xm.rows(), xm.cols());
-        let mut slots = mask.data_mut().iter_mut();
-        let value = dropout_forward(xm, p, rng, |m| {
-            if let Some(s) = slots.next() {
-                *s = m;
-            }
-        });
-        self.push_timed(prof, value, Op::Dropout { x, mask })
-    }
-
-    /// Stack vars vertically (equal column counts).
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        Self::recorded(self.try_concat_rows(parts))
-    }
-
-    /// Shape-checked [`Tape::concat_rows`].
-    pub fn try_concat_rows(&mut self, parts: &[Var]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        if let [first, rest @ ..] = parts {
-            let want = self.nodes[first.0].value.cols();
-            for p in rest {
-                let shape = self.nodes[p.0].value.shape();
-                if shape.1 != want {
-                    return Err(TapeError::ShapeMismatch {
-                        op: "concat_rows",
-                        lhs: self.nodes[first.0].value.shape(),
-                        rhs: shape,
-                    });
-                }
-            }
-        }
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::vstack(&mats);
-        Ok(self.push_timed(prof, value, Op::ConcatRows(parts.to_vec())))
-    }
-
-    /// Stack vars horizontally (equal row counts).
-    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        Self::recorded(self.try_concat_cols(parts))
-    }
-
-    /// Shape-checked [`Tape::concat_cols`].
-    pub fn try_concat_cols(&mut self, parts: &[Var]) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        if let [first, rest @ ..] = parts {
-            let want = self.nodes[first.0].value.rows();
-            for p in rest {
-                let shape = self.nodes[p.0].value.shape();
-                if shape.0 != want {
-                    return Err(TapeError::ShapeMismatch {
-                        op: "concat_cols",
-                        lhs: self.nodes[first.0].value.shape(),
-                        rhs: shape,
-                    });
-                }
-            }
-        }
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let value = Matrix::hstack(&mats);
-        Ok(self.push_timed(prof, value, Op::ConcatCols(parts.to_vec())))
-    }
-
-    /// Copy of rows `[start, start+len)`.
-    pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Self::recorded(self.try_slice_rows(x, start, len))
-    }
-
-    /// Shape-checked [`Tape::slice_rows`].
-    pub fn try_slice_rows(&mut self, x: Var, start: usize, len: usize) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let rows = self.nodes[x.0].value.rows();
-        if start + len > rows {
-            return Err(TapeError::IndexOutOfRange {
-                op: "slice_rows",
-                index: start + len,
-                len: rows,
-            });
-        }
-        let value = self.nodes[x.0].value.slice_rows(start, len);
-        Ok(self.push_timed(prof, value, Op::SliceRows { x, start }))
-    }
-
-    /// Copy of columns `[start, start+len)`.
-    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Self::recorded(self.try_slice_cols(x, start, len))
-    }
-
-    /// Shape-checked [`Tape::slice_cols`].
-    pub fn try_slice_cols(&mut self, x: Var, start: usize, len: usize) -> Result<Var, TapeError> {
-        let prof = OpTimer::start();
-        let cols = self.nodes[x.0].value.cols();
-        if start + len > cols {
-            return Err(TapeError::IndexOutOfRange {
-                op: "slice_cols",
-                index: start + len,
-                len: cols,
-            });
-        }
-        let value = self.nodes[x.0].value.slice_cols(start, len);
-        Ok(self.push_timed(prof, value, Op::SliceCols { x, start }))
-    }
-
-    /// Mean over rows, producing a `(1, C)` row.
-    pub fn mean_rows(&mut self, x: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.nodes[x.0].value.mean_rows();
-        self.push_timed(prof, value, Op::MeanRows(x))
-    }
-
-    /// Mean of every element, producing a scalar var.
-    pub fn mean_all(&mut self, x: Var) -> Var {
-        let prof = OpTimer::start();
-        let m = &self.nodes[x.0].value;
-        let value = Matrix::scalar(m.sum() / m.len() as f32);
-        self.push_timed(prof, value, Op::MeanAll(x))
-    }
-
-    /// Validate a (matrix, class-target list) pairing for a loss op.
-    fn check_targets(&self, op: &'static str, m: Var, targets: &[usize]) -> Result<(), TapeError> {
-        let shape = self.nodes[m.0].value.shape();
+    fn check_targets(&self, op: &str, m: Var, targets: &[usize]) {
+        let shape = self.values[m.0].shape();
         if shape.0 != targets.len() {
-            return Err(TapeError::BadShape {
-                op,
-                got: shape,
-                want: "one row per target",
-            });
+            bad_shape(op, shape, "one row per target");
         }
         if let Some(&bad) = targets.iter().find(|&&t| t >= shape.1) {
-            return Err(TapeError::TargetOutOfRange {
-                op,
-                target: bad,
-                classes: shape.1,
-            });
+            target_out_of_range(op, bad, shape.1);
         }
-        Ok(())
     }
 
     /// Mean cross-entropy of row-wise softmax(logits) against integer
     /// `targets`. Returns a scalar var.
+    #[track_caller]
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
-        Self::recorded(self.try_cross_entropy(logits, targets))
-    }
-
-    /// Shape-checked [`Tape::cross_entropy`].
-    pub fn try_cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        self.check_targets("cross_entropy", logits, targets)?;
-        let lm = &self.nodes[logits.0].value;
-        let probs = lm.softmax_rows();
+        self.check_targets("cross_entropy", logits, targets);
+        let probs = self.values[logits.0].softmax_rows();
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
             loss -= probs.get(r, t).max(1e-12).ln();
         }
         loss /= targets.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
+        self.push(prof, slot::CROSS_ENTROPY, Matrix::scalar(loss), || {
             Op::CrossEntropy {
                 logits,
                 targets: targets.to_vec(),
                 probs,
-            },
-        ))
+            }
+        })
     }
 
     /// Mean negative log likelihood of already-normalized probabilities:
     /// `-(1/n) Σ log probs[r][targets[r]]`. Scalar var.
+    #[track_caller]
     pub fn nll_probs(&mut self, probs: Var, targets: &[usize]) -> Var {
-        Self::recorded(self.try_nll_probs(probs, targets))
-    }
-
-    /// Shape-checked [`Tape::nll_probs`].
-    pub fn try_nll_probs(&mut self, probs: Var, targets: &[usize]) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        self.check_targets("nll_probs", probs, targets)?;
-        let pm = &self.nodes[probs.0].value;
+        self.check_targets("nll_probs", probs, targets);
+        let pm = &self.values[probs.0];
         let mut loss = 0.0f32;
         for (r, &t) in targets.iter().enumerate() {
             loss -= pm.get(r, t).max(1e-12).ln();
         }
         loss /= targets.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
+        self.push(prof, slot::NLL_PROBS, Matrix::scalar(loss), || {
             Op::NllProbs {
                 probs,
                 targets: targets.to_vec(),
-            },
-        ))
+            }
+        })
     }
 
     /// Mean squared error against a constant target matrix. Scalar var.
+    #[track_caller]
     pub fn mse_loss(&mut self, pred: Var, target: &Matrix) -> Var {
-        Self::recorded(self.try_mse_loss(pred, target))
-    }
-
-    /// Shape-checked [`Tape::mse_loss`].
-    pub fn try_mse_loss(&mut self, pred: Var, target: &Matrix) -> Result<Var, TapeError> {
         let prof = OpTimer::start();
-        let pm = &self.nodes[pred.0].value;
+        let pm = &self.values[pred.0];
         if pm.shape() != target.shape() {
-            return Err(TapeError::ShapeMismatch {
-                op: "mse_loss",
-                lhs: pm.shape(),
-                rhs: target.shape(),
-            });
+            shape_mismatch("mse_loss", pm.shape(), target.shape());
         }
         let diff = pm.sub(target);
         let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / pm.len() as f32;
-        Ok(self.push_timed(
-            prof,
-            Matrix::scalar(loss),
-            Op::MseLoss {
-                pred,
-                target: target.clone(),
-            },
-        ))
+        self.push(prof, slot::MSE_LOSS, Matrix::scalar(loss), || Op::MseLoss {
+            pred,
+            target: target.clone(),
+        })
     }
+
+    // ---- differentiation ----
 
     fn add_grad(&mut self, v: Var, g: Matrix) {
         match &mut self.nodes[v.0].grad {
@@ -1062,22 +988,14 @@ impl Tape {
     }
 
     /// Run reverse-mode differentiation from scalar `loss`.
+    #[track_caller]
     pub fn backward(&mut self, loss: Var) {
-        Self::recorded_unit(self.try_backward(loss))
-    }
-
-    /// Shape-checked [`Tape::backward`]: fails if `loss` is not scalar.
-    pub fn try_backward(&mut self, loss: Var) -> Result<(), TapeError> {
         // Timing is telemetry-gated so the hot path stays free of clock
         // reads when no sink is active.
         let timed = em_obs::Stopwatch::if_enabled();
-        let shape = self.nodes[loss.0].value.shape();
+        let shape = self.values[loss.0].shape();
         if shape != (1, 1) {
-            return Err(TapeError::BadShape {
-                op: "backward",
-                got: shape,
-                want: "a scalar (1x1) loss",
-            });
+            bad_shape("backward", shape, "a scalar (1x1) loss");
         }
         let sanitize = sanitize_enabled();
         let profiling = op_profile_enabled();
@@ -1092,16 +1010,14 @@ impl Tape {
             }
             if profiling {
                 let sw = em_obs::Stopwatch::new();
-                let idx = self.nodes[i].op.index();
                 self.backprop_node(i, &g);
-                OP_TABLE.record_bwd(idx, (sw.secs() * 1e9) as u64);
+                OP_TABLE.record_bwd(self.nodes[i].slot, (sw.secs() * 1e9) as u64);
             } else {
                 self.backprop_node(i, &g);
             }
             self.nodes[i].grad = Some(g);
         }
         if let Some(sw) = timed {
-            use std::sync::OnceLock;
             static BACKWARD_SECS: OnceLock<em_obs::metrics::Histogram> = OnceLock::new();
             BACKWARD_SECS
                 .get_or_init(|| em_obs::metrics::histogram("nn_tape_backward_secs", &[]))
@@ -1110,17 +1026,14 @@ impl Tape {
         // Graph-size counters (reports divide these by optimizer steps to
         // explain per-step cost). Kept outside the telemetry gate: two
         // relaxed atomic adds, and counters must agree with step counts.
-        static TAPE_NODES: std::sync::OnceLock<em_obs::metrics::Counter> =
-            std::sync::OnceLock::new();
-        static TAPE_PARAM_LEAVES: std::sync::OnceLock<em_obs::metrics::Counter> =
-            std::sync::OnceLock::new();
+        static TAPE_NODES: OnceLock<em_obs::metrics::Counter> = OnceLock::new();
+        static TAPE_PARAM_LEAVES: OnceLock<em_obs::metrics::Counter> = OnceLock::new();
         TAPE_NODES
             .get_or_init(|| em_obs::metrics::counter("nn_tape_nodes", &[]))
             .add(self.nodes.len() as u64);
         TAPE_PARAM_LEAVES
             .get_or_init(|| em_obs::metrics::counter("nn_tape_param_leaves", &[]))
             .add(self.param_cache.len() as u64);
-        Ok(())
     }
 
     /// Check one node's value (and, if present, gradient) buffers for
@@ -1130,24 +1043,19 @@ impl Tape {
         fn count_bad(m: &Matrix) -> u64 {
             m.data().iter().filter(|x| !x.is_finite()).count() as u64
         }
-        let node = &self.nodes[i];
+        let name = self.op_name(Var(i));
+        let value = &self.values[i];
         let mut clean = true;
-        let bad = count_bad(&node.value);
+        let bad = count_bad(value);
         if bad > 0 {
             clean = false;
-            em_obs::non_finite(
-                node.op.name(),
-                i as u64,
-                "value",
-                bad,
-                node.value.len() as u64,
-            );
+            em_obs::non_finite(name, i as u64, "value", bad, value.len() as u64);
         }
         if let Some(g) = grad {
             let bad = count_bad(g);
             if bad > 0 {
                 clean = false;
-                em_obs::non_finite(node.op.name(), i as u64, "grad", bad, g.len() as u64);
+                em_obs::non_finite(name, i as u64, "grad", bad, g.len() as u64);
             }
         }
         clean
@@ -1163,16 +1071,15 @@ impl Tape {
     }
 
     fn backprop_node(&mut self, i: usize, g: &Matrix) {
-        // Split borrows: read the op by pointer, mutate grads via add_grad.
-        // Ops are cheap to match; values needed for backward are cloned or
-        // recomputed locally.
+        // Split borrows: take the op out while its inputs' grads are
+        // mutated via add_grad, then put it back.
         let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
         match &op {
             Op::Leaf => {}
             Op::Matmul(a, b) => {
                 let (a, b) = (*a, *b);
-                let da = g.matmul_nt(&self.nodes[b.0].value);
-                let db = self.nodes[a.0].value.matmul_tn(g);
+                let da = g.matmul_nt(&self.values[b.0]);
+                let db = self.values[a.0].matmul_tn(g);
                 self.add_grad(a, da);
                 self.add_grad(b, db);
             }
@@ -1197,8 +1104,8 @@ impl Tape {
             }
             Op::Mul(a, b) => {
                 let (a, b) = (*a, *b);
-                let da = g.hadamard(&self.nodes[b.0].value);
-                let db = g.hadamard(&self.nodes[a.0].value);
+                let da = g.hadamard(&self.values[b.0]);
+                let db = g.hadamard(&self.values[a.0]);
                 self.add_grad(a, da);
                 self.add_grad(b, db);
             }
@@ -1207,7 +1114,7 @@ impl Tape {
             Op::Transpose(a) => self.add_grad(*a, g.transpose()),
             Op::AddConst(a) => self.add_grad(*a, g.clone()),
             Op::Tanh(a) => {
-                let y = &self.nodes[i].value;
+                let y = &self.values[i];
                 let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
                     let t = y.get(r, c);
                     g.get(r, c) * (1.0 - t * t)
@@ -1215,7 +1122,7 @@ impl Tape {
                 self.add_grad(*a, da);
             }
             Op::Sigmoid(a) => {
-                let y = &self.nodes[i].value;
+                let y = &self.values[i];
                 let da = Matrix::from_fn(y.rows(), y.cols(), |r, c| {
                     let s = y.get(r, c);
                     g.get(r, c) * s * (1.0 - s)
@@ -1223,14 +1130,14 @@ impl Tape {
                 self.add_grad(*a, da);
             }
             Op::Gelu(a) => {
-                let x = &self.nodes[a.0].value;
+                let x = &self.values[a.0];
                 let da = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
                     g.get(r, c) * gelu_dx(x.get(r, c))
                 });
                 self.add_grad(*a, da);
             }
             Op::Relu(a) => {
-                let x = &self.nodes[a.0].value;
+                let x = &self.values[a.0];
                 let da = Matrix::from_fn(x.rows(), x.cols(), |r, c| {
                     if x.get(r, c) > 0.0 {
                         g.get(r, c)
@@ -1241,7 +1148,7 @@ impl Tape {
                 self.add_grad(*a, da);
             }
             Op::SoftmaxRows(a) => {
-                let y = &self.nodes[i].value;
+                let y = &self.values[i];
                 let mut da = Matrix::zeros(y.rows(), y.cols());
                 for r in 0..y.rows() {
                     let dot: f32 = y.row(r).iter().zip(g.row(r)).map(|(a, b)| a * b).sum();
@@ -1258,7 +1165,7 @@ impl Tape {
                 normed,
                 inv_std,
             } => {
-                let gm = self.nodes[gamma.0].value.row(0);
+                let gm = self.values[gamma.0].row(0);
                 let (rows, cols) = normed.shape();
                 let mut dx = Matrix::zeros(rows, cols);
                 let mut dgamma = Matrix::zeros(1, cols);
@@ -1285,12 +1192,15 @@ impl Tape {
                 self.add_grad(*gamma, dgamma);
                 self.add_grad(*beta, dbeta);
             }
-            Op::GatherRows { src, idx } => add_gathered_grad(&mut self.nodes[src.0], idx, g),
+            Op::GatherRows { src, idx } => {
+                let shape = self.values[src.0].shape();
+                add_gathered_grad(&mut self.nodes[src.0], shape, idx, g)
+            }
             Op::Dropout { x, mask } => self.add_grad(*x, g.hadamard(mask)),
             Op::ConcatRows(parts) => {
                 let mut start = 0;
                 for &p in parts {
-                    let rows = self.nodes[p.0].value.rows();
+                    let rows = self.values[p.0].rows();
                     self.add_grad(p, g.slice_rows(start, rows));
                     start += rows;
                 }
@@ -1298,13 +1208,13 @@ impl Tape {
             Op::ConcatCols(parts) => {
                 let mut start = 0;
                 for &p in parts {
-                    let cols = self.nodes[p.0].value.cols();
+                    let cols = self.values[p.0].cols();
                     self.add_grad(p, g.slice_cols(start, cols));
                     start += cols;
                 }
             }
             Op::SliceRows { x, start } => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
+                let (rows, cols) = self.values[x.0].shape();
                 let mut da = Matrix::zeros(rows, cols);
                 for r in 0..g.rows() {
                     da.row_mut(start + r).copy_from_slice(g.row(r));
@@ -1312,7 +1222,7 @@ impl Tape {
                 self.add_grad(*x, da);
             }
             Op::SliceCols { x, start } => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
+                let (rows, cols) = self.values[x.0].shape();
                 let mut da = Matrix::zeros(rows, cols);
                 for r in 0..g.rows() {
                     da.row_mut(r)[*start..start + g.cols()].copy_from_slice(g.row(r));
@@ -1320,13 +1230,13 @@ impl Tape {
                 self.add_grad(*x, da);
             }
             Op::MeanRows(x) => {
-                let rows = self.nodes[x.0].value.rows();
+                let rows = self.values[x.0].rows();
                 let inv = 1.0 / rows as f32;
                 let da = Matrix::from_fn(rows, g.cols(), |_, c| g.get(0, c) * inv);
                 self.add_grad(*x, da);
             }
             Op::MeanAll(x) => {
-                let (rows, cols) = self.nodes[x.0].value.shape();
+                let (rows, cols) = self.values[x.0].shape();
                 let v = g.item() / (rows * cols) as f32;
                 self.add_grad(*x, Matrix::full(rows, cols, v));
             }
@@ -1344,7 +1254,7 @@ impl Tape {
                 self.add_grad(*logits, da);
             }
             Op::NllProbs { probs, targets } => {
-                let pm = &self.nodes[probs.0].value;
+                let pm = &self.values[probs.0];
                 let gs = g.item() / targets.len() as f32;
                 let mut da = Matrix::zeros(pm.rows(), pm.cols());
                 for (r, &t) in targets.iter().enumerate() {
@@ -1353,7 +1263,7 @@ impl Tape {
                 self.add_grad(*probs, da);
             }
             Op::MseLoss { pred, target } => {
-                let pm = &self.nodes[pred.0].value;
+                let pm = &self.values[pred.0];
                 let c = 2.0 * g.item() / pm.len() as f32;
                 let da = pm.sub(target).scale(c);
                 self.add_grad(*pred, da);
@@ -1373,20 +1283,16 @@ impl Tape {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tape-free inference
-// ---------------------------------------------------------------------------
-
 thread_local! {
-    /// Nodes this thread has ever pushed onto any recording [`Tape`].
+    /// Nodes this thread has ever pushed onto any [`Record`] tape.
     /// Diagnostics only: the tape-free tests pin this counter flat across a
-    /// [`NoGradTape`] forward — the "zero tape nodes" claim is asserted, not
+    /// [`NoGrad`] forward — the "zero tape nodes" claim is asserted, not
     /// stated (same proof pattern as the heartbeat module's `clock_reads`).
     static NODES_PUSHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Total tape nodes recorded by the current thread since it started. A
-/// [`NoGradTape`] forward must leave this unchanged.
+/// [`NoGrad`] forward must leave this unchanged.
 pub fn nodes_recorded_on_thread() -> u64 {
     NODES_PUSHED.with(|c| c.get())
 }
@@ -1404,427 +1310,16 @@ pub fn burn_draws(rng: &mut impl rand::Rng, n: usize) {
     }
 }
 
-/// Profiler slots for the tape-free path: positions in
-/// [`em_obs::names::ALL_OP_NAMES`], numerically identical to `Op::index`
-/// (a test pins every constant against the registry).
-mod op_idx {
-    pub const LEAF: usize = 0;
-    pub const MATMUL: usize = 1;
-    pub const ADD: usize = 2;
-    pub const ADD_ROW_BROADCAST: usize = 3;
-    pub const SUB: usize = 4;
-    pub const MUL: usize = 5;
-    pub const SCALE: usize = 6;
-    pub const ADD_CONST: usize = 7;
-    pub const TRANSPOSE: usize = 9;
-    pub const TANH: usize = 10;
-    pub const SIGMOID: usize = 11;
-    pub const GELU: usize = 12;
-    pub const RELU: usize = 13;
-    pub const SOFTMAX_ROWS: usize = 14;
-    pub const LAYER_NORM: usize = 15;
-    pub const GATHER_ROWS: usize = 16;
-    pub const DROPOUT: usize = 17;
-    pub const CONCAT_ROWS: usize = 18;
-    pub const CONCAT_COLS: usize = 19;
-    pub const SLICE_ROWS: usize = 20;
-    pub const SLICE_COLS: usize = 21;
-    pub const MEAN_ROWS: usize = 22;
-}
-
-/// The forward-only op surface shared by the recording [`Tape`] and the
-/// tape-free [`NoGradTape`].
-///
-/// Model forwards (`em-layers`, `mini-lm`, `em-core`) are generic over this
-/// trait, so one implementation of each layer serves both modes: training
-/// instantiates it with [`Tape`] (recording, differentiable), inference with
-/// [`NoGradTape`] (value-only, zero graph bookkeeping). Loss ops,
-/// `backward`, and the graph-topology accessors are deliberately *not* part
-/// of the trait — code that differentiates must name [`Tape`] concretely.
-///
-/// Both implementations run the identical numeric kernels in identical
-/// order — including the RNG draw order and `x * m` products inside
-/// [`TapeExec::dropout`] — so outputs are bit-exact across modes; tests
-/// here and in `mini-lm`/`em-core` pin that equivalence.
-pub trait TapeExec {
-    /// True when dropout is active (a training-mode executor).
-    fn is_train(&self) -> bool;
-    /// Insert a constant leaf.
-    fn constant(&mut self, value: Matrix) -> Var;
-    /// Insert (or reuse) a leaf mirroring parameter `id` from `store`.
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var;
-    /// The forward value of `v`.
-    fn value(&self, v: Var) -> &Matrix;
-    /// Matrix product `a @ b`.
-    fn matmul(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise sum (same shapes).
-    fn add(&mut self, a: Var, b: Var) -> Var;
-    /// `a + b` where `b` is a (1,C) row broadcast over the rows of `a`.
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise difference.
-    fn sub(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise (Hadamard) product.
-    fn mul(&mut self, a: Var, b: Var) -> Var;
-    /// Multiply every element by the constant `c`.
-    fn scale(&mut self, a: Var, c: f32) -> Var;
-    /// Add a constant matrix elementwise (no gradient to the constant).
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var;
-    /// Matrix transpose.
-    fn transpose(&mut self, a: Var) -> Var;
-    /// Elementwise `tanh`.
-    fn tanh(&mut self, a: Var) -> Var;
-    /// Elementwise logistic sigmoid.
-    fn sigmoid(&mut self, a: Var) -> Var;
-    /// Elementwise GELU (tanh approximation, as in BERT).
-    fn gelu(&mut self, a: Var) -> Var;
-    /// Elementwise ReLU.
-    fn relu(&mut self, a: Var) -> Var;
-    /// Row-wise softmax.
-    fn softmax_rows(&mut self, a: Var) -> Var;
-    /// Row-wise layer normalization. `gamma` and `beta` must be (1,C).
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var;
-    /// Select rows of `src` by `idx` (duplicates allowed).
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var;
-    /// Inverted dropout with keep-probability `1-p`. Identity when the
-    /// executor is in inference mode or `p == 0`.
-    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var;
-    /// Stack vars vertically (equal column counts).
-    fn concat_rows(&mut self, parts: &[Var]) -> Var;
-    /// Stack vars horizontally (equal row counts).
-    fn concat_cols(&mut self, parts: &[Var]) -> Var;
-    /// Copy of rows `[start, start+len)`.
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var;
-    /// Copy of columns `[start, start+len)`.
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var;
-    /// Mean over rows, producing a `(1, C)` row.
-    fn mean_rows(&mut self, x: Var) -> Var;
-}
-
-impl TapeExec for Tape {
-    fn is_train(&self) -> bool {
-        self.train
-    }
-    fn constant(&mut self, value: Matrix) -> Var {
-        Tape::constant(self, value)
-    }
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        Tape::param(self, store, id)
-    }
-    fn value(&self, v: Var) -> &Matrix {
-        Tape::value(self, v)
-    }
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Tape::matmul(self, a, b)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Tape::add(self, a, b)
-    }
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        Tape::add_row_broadcast(self, a, b)
-    }
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        Tape::sub(self, a, b)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        Tape::mul(self, a, b)
-    }
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        Tape::scale(self, a, c)
-    }
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        Tape::add_const(self, a, k)
-    }
-    fn transpose(&mut self, a: Var) -> Var {
-        Tape::transpose(self, a)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        Tape::tanh(self, a)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        Tape::sigmoid(self, a)
-    }
-    fn gelu(&mut self, a: Var) -> Var {
-        Tape::gelu(self, a)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        Tape::relu(self, a)
-    }
-    fn softmax_rows(&mut self, a: Var) -> Var {
-        Tape::softmax_rows(self, a)
-    }
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        Tape::layer_norm(self, x, gamma, beta, eps)
-    }
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        Tape::gather_rows(self, src, idx)
-    }
-    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
-        Tape::dropout(self, x, p, rng)
-    }
-    fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        Tape::concat_rows(self, parts)
-    }
-    fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        Tape::concat_cols(self, parts)
-    }
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Tape::slice_rows(self, x, start, len)
-    }
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        Tape::slice_cols(self, x, start, len)
-    }
-    fn mean_rows(&mut self, x: Var) -> Var {
-        Tape::mean_rows(self, x)
-    }
-}
-
-/// Value-only executor: runs the same op kernels as [`Tape`] but records no
-/// graph — no op payloads, no grad slots, no LayerNorm/Dropout caches — so
-/// a forward pass allocates nothing beyond the value matrices themselves.
-///
-/// Every inference path uses this (teacher scoring, MC-dropout uncertainty,
-/// grid probes, CLI `match` prediction). `train` controls dropout exactly as
-/// on [`Tape`]: MC-dropout scoring runs a *training-mode* `NoGradTape`
-/// (dropout active, RNG consumed in the same order as a recording tape),
-/// deterministic prediction runs [`NoGradTape::inference`].
-pub struct NoGradTape {
-    slots: Vec<Matrix>,
-    param_cache: HashMap<ParamId, Var>,
-    /// When false, `dropout` is the identity (inference mode).
-    pub train: bool,
-}
-
-impl Default for NoGradTape {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NoGradTape {
-    /// A fresh training-mode executor (dropout active; MC-dropout scoring).
-    pub fn new() -> Self {
-        NoGradTape {
-            slots: Vec::with_capacity(256),
-            param_cache: HashMap::new(),
-            train: true,
-        }
-    }
-
-    /// An executor whose dropout layers are disabled (deterministic
-    /// inference).
-    pub fn inference() -> Self {
-        let mut t = Self::new();
-        t.train = false;
-        t
-    }
-
-    /// Number of values held so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no value has been computed.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    fn push(&mut self, timer: Option<OpTimer>, op_idx: usize, value: Matrix) -> Var {
-        if let Some(t) = timer {
-            t.finish(op_idx, value.len());
-        }
-        self.slots.push(value);
-        Var(self.slots.len() - 1)
-    }
-}
-
-impl TapeExec for NoGradTape {
-    fn is_train(&self) -> bool {
-        self.train
-    }
-
-    fn constant(&mut self, value: Matrix) -> Var {
-        let prof = OpTimer::start();
-        self.push(prof, op_idx::LEAF, value)
-    }
-
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.param_cache.get(&id) {
-            return v;
-        }
-        let prof = OpTimer::start();
-        let value = store.value(id).clone();
-        let v = self.push(prof, op_idx::LEAF, value);
-        self.param_cache.insert(id, v);
-        v
-    }
-
-    fn value(&self, v: Var) -> &Matrix {
-        &self.slots[v.0]
-    }
-
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].matmul(&self.slots[b.0]);
-        self.push(prof, op_idx::MATMUL, value)
-    }
-
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].add(&self.slots[b.0]);
-        self.push(prof, op_idx::ADD, value)
-    }
-
-    fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let (am, bm) = (&self.slots[a.0], &self.slots[b.0]);
-        assert_eq!(bm.rows(), 1, "add_row_broadcast needs a (1,C) row vector");
-        assert_eq!(am.cols(), bm.cols(), "add_row_broadcast column mismatch");
-        let mut value = am.clone();
-        for r in 0..value.rows() {
-            for (v, &x) in value.row_mut(r).iter_mut().zip(self.slots[b.0].row(0)) {
-                *v += x;
-            }
-        }
-        self.push(prof, op_idx::ADD_ROW_BROADCAST, value)
-    }
-
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].sub(&self.slots[b.0]);
-        self.push(prof, op_idx::SUB, value)
-    }
-
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].hadamard(&self.slots[b.0]);
-        self.push(prof, op_idx::MUL, value)
-    }
-
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].scale(c);
-        self.push(prof, op_idx::SCALE, value)
-    }
-
-    fn add_const(&mut self, a: Var, k: &Matrix) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].add(k);
-        self.push(prof, op_idx::ADD_CONST, value)
-    }
-
-    fn transpose(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].transpose();
-        self.push(prof, op_idx::TRANSPOSE, value)
-    }
-
-    fn tanh(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(f32::tanh);
-        self.push(prof, op_idx::TANH, value)
-    }
-
-    fn sigmoid(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(prof, op_idx::SIGMOID, value)
-    }
-
-    fn gelu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(gelu);
-        self.push(prof, op_idx::GELU, value)
-    }
-
-    fn relu(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].map(|x| x.max(0.0));
-        self.push(prof, op_idx::RELU, value)
-    }
-
-    fn softmax_rows(&mut self, a: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[a.0].softmax_rows();
-        self.push(prof, op_idx::SOFTMAX_ROWS, value)
-    }
-
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let prof = OpTimer::start();
-        let cols = self.slots[x.0].cols();
-        for v in [gamma, beta] {
-            assert_eq!(
-                self.slots[v.0].shape(),
-                (1, cols),
-                "layer_norm gain/bias must be (1,C)"
-            );
-        }
-        let value = layer_norm_forward(
-            &self.slots[x.0],
-            &self.slots[gamma.0],
-            &self.slots[beta.0],
-            eps,
-            |_, _, _| {},
-        );
-        self.push(prof, op_idx::LAYER_NORM, value)
-    }
-
-    fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[src.0].gather_rows(idx);
-        self.push(prof, op_idx::GATHER_ROWS, value)
-    }
-
-    fn dropout(&mut self, x: Var, p: f32, rng: &mut impl rand::Rng) -> Var {
-        if !self.train || p <= 0.0 {
-            return x;
-        }
-        let prof = OpTimer::start();
-        let value = dropout_forward(&self.slots[x.0], p, rng, |_| {});
-        self.push(prof, op_idx::DROPOUT, value)
-    }
-
-    fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let prof = OpTimer::start();
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.slots[v.0]).collect();
-        let value = Matrix::vstack(&mats);
-        self.push(prof, op_idx::CONCAT_ROWS, value)
-    }
-
-    fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let prof = OpTimer::start();
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.slots[v.0]).collect();
-        let value = Matrix::hstack(&mats);
-        self.push(prof, op_idx::CONCAT_COLS, value)
-    }
-
-    fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].slice_rows(start, len);
-        self.push(prof, op_idx::SLICE_ROWS, value)
-    }
-
-    fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].slice_cols(start, len);
-        self.push(prof, op_idx::SLICE_COLS, value)
-    }
-
-    fn mean_rows(&mut self, x: Var) -> Var {
-        let prof = OpTimer::start();
-        let value = self.slots[x.0].mean_rows();
-        self.push(prof, op_idx::MEAN_ROWS, value)
-    }
-}
-
 /// `GatherRows` backward: add the gradient `g` of `gather_rows(src, idx)`
-/// into `src`'s grad slot, touching only the rows `idx` names. Each one
-/// adds, once, its incoming rows summed in `idx` order from +0.0: the
-/// same `existing + ((0 + g₁) + g₂ …)` as adding a dense scatter matrix.
-/// The dense add also sent untouched elements through `+ 0.0`, which only
-/// rewrites `-0.0`, so a slot not known to be free of `-0.0` gets that
-/// pass first (exact, as the sums are never `-0.0`; DESIGN §15).
-fn add_gathered_grad(node: &mut Node, idx: &[usize], g: &Matrix) {
-    let (rows, cols) = node.value.shape();
+/// into `src`'s grad slot (`node`, whose value has `shape`), touching only
+/// the rows `idx` names. Each one adds, once, its incoming rows summed in
+/// `idx` order from +0.0: the same `existing + ((0 + g₁) + g₂ …)` as
+/// adding a dense scatter matrix. The dense add also sent untouched
+/// elements through `+ 0.0`, which only rewrites `-0.0`, so a slot not
+/// known to be free of `-0.0` gets that pass first (exact, as the sums are
+/// never `-0.0`; DESIGN §15).
+fn add_gathered_grad(node: &mut Node, shape: (usize, usize), idx: &[usize], g: &Matrix) {
+    let (rows, cols) = shape;
     if !node.grad_no_neg_zero {
         if let Some(existing) = &mut node.grad {
             for v in existing.data_mut() {
@@ -1848,63 +1343,6 @@ fn add_gathered_grad(node: &mut Node, idx: &[usize], g: &Matrix) {
             *d += s;
         }
     }
-}
-
-/// Row-wise layer normalization, the forward kernel of both executors:
-/// `(x - mean) * inv_std * gamma + beta` per row, with `gamma` and `beta`
-/// `(1,C)`. `record(r, inv_std, normed_row)` sees each row's inverse
-/// standard deviation and normalized values before the affine step; the
-/// recording tape keeps them for backward, the tape-free one ignores them.
-fn layer_norm_forward(
-    x: &Matrix,
-    gamma: &Matrix,
-    beta: &Matrix,
-    eps: f32,
-    mut record: impl FnMut(usize, f32, &[f32]),
-) -> Matrix {
-    let (rows, cols) = x.shape();
-    let (gamma, beta) = (gamma.row(0), beta.row(0));
-    let mut value = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        let row = x.row(r);
-        let mean = row.iter().sum::<f32>() / cols as f32;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        let out = value.row_mut(r);
-        for (o, &xv) in out.iter_mut().zip(row) {
-            *o = (xv - mean) * istd;
-        }
-        record(r, istd, out);
-        for ((o, &g), &b) in out.iter_mut().zip(gamma).zip(beta) {
-            *o = *o * g + b;
-        }
-    }
-    value
-}
-
-/// Inverted dropout with keep-probability `1-p`, the forward kernel of
-/// both executors: one `gen::<f32>()` draw per element in row-major order,
-/// mask value `1/(1-p)` or `0.0`, output `x * mask`. `record` sees each
-/// mask value in draw order; the recording tape stores them for backward.
-fn dropout_forward(
-    x: &Matrix,
-    p: f32,
-    rng: &mut impl rand::Rng,
-    mut record: impl FnMut(f32),
-) -> Matrix {
-    assert!(p < 1.0, "dropout probability must be < 1");
-    let keep = 1.0 - p;
-    let scale = 1.0 / keep;
-    let data = x
-        .data()
-        .iter()
-        .map(|&v| {
-            let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-            record(m);
-            v * m
-        })
-        .collect();
-    Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
 /// Exact GELU via erf approximation (tanh form, as used by BERT/RoBERTa).
@@ -2202,70 +1640,50 @@ mod tests {
 
     #[test]
     fn op_indices_match_the_obs_registry() {
-        // One of each variant; index() must be its position in
-        // em_obs::names::ALL_OP_NAMES and name() the string stored there.
-        let v = Var(0);
-        let m = Matrix::zeros(1, 1);
-        let ops = vec![
-            Op::Leaf,
-            Op::Matmul(v, v),
-            Op::Add(v, v),
-            Op::AddRowBroadcast(v, v),
-            Op::Sub(v, v),
-            Op::Mul(v, v),
-            Op::Scale(v, 1.0),
-            Op::AddConst(v),
-            Op::GradReverse(v, 1.0),
-            Op::Transpose(v),
-            Op::Tanh(v),
-            Op::Sigmoid(v),
-            Op::Gelu(v),
-            Op::Relu(v),
-            Op::SoftmaxRows(v),
-            Op::LayerNorm {
-                x: v,
-                gamma: v,
-                beta: v,
-                normed: m.clone(),
-                inv_std: Vec::new(),
-            },
-            Op::GatherRows {
-                src: v,
-                idx: Vec::new(),
-            },
-            Op::Dropout {
-                x: v,
-                mask: m.clone(),
-            },
-            Op::ConcatRows(Vec::new()),
-            Op::ConcatCols(Vec::new()),
-            Op::SliceRows { x: v, start: 0 },
-            Op::SliceCols { x: v, start: 0 },
-            Op::MeanRows(v),
-            Op::MeanAll(v),
-            Op::CrossEntropy {
-                logits: v,
-                targets: Vec::new(),
-                probs: m.clone(),
-            },
-            Op::MseLoss { pred: v, target: m },
-            Op::NllProbs {
-                probs: v,
-                targets: Vec::new(),
-            },
+        // One call of each op; every recorded node must carry the slot of
+        // the op that made it, and the slots must cover the registry.
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::full(2, 2, 0.5));
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1 << 40);
+        let mut t = Tape::new();
+        let x = t.constant(Matrix::full(2, 2, 0.25));
+        let row = t.constant(Matrix::full(1, 2, 0.5));
+        let mut made = vec![(x, "leaf"), (t.param(&store, w), "leaf")];
+        let ops = [
+            (t.matmul(x, x), "matmul"),
+            (t.add(x, x), "add"),
+            (t.add_row_broadcast(x, row), "add_row_broadcast"),
+            (t.sub(x, x), "sub"),
+            (t.mul(x, x), "mul"),
+            (t.scale(x, 2.0), "scale"),
+            (t.add_const(x, &Matrix::full(2, 2, 1.0)), "add_const"),
+            (t.grad_reverse(x, 1.0), "grad_reverse"),
+            (t.transpose(x), "transpose"),
+            (t.tanh(x), "tanh"),
+            (t.sigmoid(x), "sigmoid"),
+            (t.gelu(x), "gelu"),
+            (t.relu(x), "relu"),
+            (t.softmax_rows(x), "softmax_rows"),
+            (t.layer_norm(x, row, row, 1e-5), "layer_norm"),
+            (t.gather_rows(x, &[1, 0]), "gather_rows"),
+            (t.dropout(x, 0.5, &mut rng), "dropout"),
+            (t.concat_rows(&[x, x]), "concat_rows"),
+            (t.concat_cols(&[x, x]), "concat_cols"),
+            (t.slice_rows(x, 0, 1), "slice_rows"),
+            (t.slice_cols(x, 0, 1), "slice_cols"),
+            (t.mean_rows(x), "mean_rows"),
+            (t.mean_all(x), "mean_all"),
+            (t.cross_entropy(x, &[0, 1]), "cross_entropy"),
+            (t.mse_loss(x, &Matrix::zeros(2, 2)), "mse_loss"),
+            (t.nll_probs(x, &[0, 1]), "nll_probs"),
         ];
-        assert_eq!(ops.len(), em_obs::names::ALL_OP_NAMES.len());
-        let mut seen = vec![false; ops.len()];
-        for op in &ops {
-            assert_eq!(
-                em_obs::names::ALL_OP_NAMES[op.index()],
-                op.name(),
-                "slot/name mismatch for {}",
-                op.name()
-            );
-            assert!(!seen[op.index()], "duplicate slot {}", op.index());
-            seen[op.index()] = true;
+        made.extend(ops);
+        let mut seen = vec![false; em_obs::names::ALL_OP_NAMES.len()];
+        for (v, name) in made {
+            assert_eq!(t.op_name(v), name, "var {} names the wrong op", v.index());
+            seen[t.nodes[v.0].slot] = true;
         }
+        assert!(seen.iter().all(|&s| s), "an op slot is never used");
     }
 
     #[test]
@@ -2351,10 +1769,10 @@ mod tests {
 
     // ---- tape-free inference ----
 
-    /// One forward through every `TapeExec` op, generic over the executor,
-    /// so the exact same call sequence can run taped and tape-free.
-    fn exercise_all_ops<T: TapeExec>(
-        exec: &mut T,
+    /// One forward through every op both modes share, generic over the
+    /// mode, so the exact same call sequence can run taped and tape-free.
+    fn exercise_all_ops<M: Mode>(
+        exec: &mut Tape<M>,
         store: &ParamStore,
         w: ParamId,
         rng: &mut rand::rngs::StdRng,
@@ -2419,13 +1837,13 @@ mod tests {
         let y_taped = exercise_all_ops(&mut taped, &store, w, &mut rng_a);
 
         let pushed_before = nodes_recorded_on_thread();
-        let mut free = NoGradTape::new();
+        let mut free = Tape::no_grad();
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(7);
         let y_free = exercise_all_ops(&mut free, &store, w, &mut rng_b);
         assert_eq!(
             nodes_recorded_on_thread(),
             pushed_before,
-            "a NoGradTape forward must record zero tape nodes"
+            "a NoGrad forward must record zero tape nodes"
         );
         assert!(!free.is_empty());
 
@@ -2445,42 +1863,8 @@ mod tests {
     }
 
     #[test]
-    fn nograd_op_indices_match_the_obs_registry() {
-        for (idx, name) in [
-            (op_idx::LEAF, "leaf"),
-            (op_idx::MATMUL, "matmul"),
-            (op_idx::ADD, "add"),
-            (op_idx::ADD_ROW_BROADCAST, "add_row_broadcast"),
-            (op_idx::SUB, "sub"),
-            (op_idx::MUL, "mul"),
-            (op_idx::SCALE, "scale"),
-            (op_idx::ADD_CONST, "add_const"),
-            (op_idx::TRANSPOSE, "transpose"),
-            (op_idx::TANH, "tanh"),
-            (op_idx::SIGMOID, "sigmoid"),
-            (op_idx::GELU, "gelu"),
-            (op_idx::RELU, "relu"),
-            (op_idx::SOFTMAX_ROWS, "softmax_rows"),
-            (op_idx::LAYER_NORM, "layer_norm"),
-            (op_idx::GATHER_ROWS, "gather_rows"),
-            (op_idx::DROPOUT, "dropout"),
-            (op_idx::CONCAT_ROWS, "concat_rows"),
-            (op_idx::CONCAT_COLS, "concat_cols"),
-            (op_idx::SLICE_ROWS, "slice_rows"),
-            (op_idx::SLICE_COLS, "slice_cols"),
-            (op_idx::MEAN_ROWS, "mean_rows"),
-        ] {
-            assert_eq!(
-                em_obs::names::ALL_OP_NAMES[idx],
-                name,
-                "tape-free profiler slot {idx} drifted from the registry"
-            );
-        }
-    }
-
-    #[test]
     fn nograd_inference_dropout_is_identity_and_draws_nothing() {
-        let mut exec = NoGradTape::inference();
+        let mut exec = Tape::no_grad_inference();
         let x = exec.constant(Matrix::full(2, 2, 1.0));
         // A step RNG that would visibly perturb the mask if consumed.
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
@@ -2513,11 +1897,11 @@ mod tests {
         }
     }
 
-    fn leaf_node(value: Matrix, grad: Option<Matrix>) -> Node {
+    fn leaf_node(grad: Option<Matrix>) -> Node {
         Node {
-            value,
             grad,
             grad_no_neg_zero: false,
+            slot: slot::LEAF,
             op: Op::Leaf,
         }
     }
@@ -2546,13 +1930,13 @@ mod tests {
                 }
                 e
             });
-            let mut node = leaf_node(Matrix::zeros(rows, cols), existing.clone());
-            add_gathered_grad(&mut node, &idx, &g1);
+            let mut node = leaf_node(existing.clone());
+            add_gathered_grad(&mut node, (rows, cols), &idx, &g1);
             let want = gather_backward_oracle(existing, (rows, cols), &idx, &g1);
             let got = node.grad.clone().unwrap_or_else(|| Matrix::zeros(1, 1));
             assert_same_bits(&got, &want, &format!("case {case}, first gather"));
             // A second gather into the same slot takes the no-pass path.
-            add_gathered_grad(&mut node, &idx, &g2);
+            add_gathered_grad(&mut node, (rows, cols), &idx, &g2);
             let want = gather_backward_oracle(Some(want), (rows, cols), &idx, &g2);
             let got = node.grad.clone().unwrap_or_else(|| Matrix::zeros(1, 1));
             assert_same_bits(&got, &want, &format!("case {case}, second gather"));
@@ -2633,7 +2017,7 @@ mod tests {
                     (t.value(ln).clone(), t.value(d).clone())
                 });
                 let free = run(&mut |rng| {
-                    let mut t = NoGradTape::new();
+                    let mut t = Tape::no_grad();
                     let (xv, g, b) = (
                         t.constant(x.clone()),
                         t.constant(gamma.clone()),
@@ -2660,10 +2044,37 @@ mod tests {
     fn nograd_param_cache_reuses_leaves() {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::full(2, 2, 0.5));
-        let mut exec = NoGradTape::inference();
+        let mut exec = Tape::no_grad_inference();
         let a = exec.param(&store, w);
         let b = exec.param(&store, w);
         assert_eq!(a, b);
         assert_eq!(exec.len(), 1);
+    }
+
+    /// The panic text `f` aborts with.
+    fn refusal(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the op must refuse its operands");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    fn bad_matmul<M: Mode>(mut t: Tape<M>) {
+        let a = t.constant(Matrix::zeros(2, 3));
+        t.matmul(a, a);
+    }
+
+    fn bad_gather<M: Mode>(mut t: Tape<M>) {
+        let src = t.constant(Matrix::zeros(2, 3));
+        t.gather_rows(src, &[1, 5, 0]);
+    }
+
+    #[test]
+    fn both_modes_refuse_bad_operands_with_the_same_text() {
+        let record = refusal(|| bad_matmul(Tape::new()));
+        assert_eq!(record, "tape op `matmul`: incompatible shapes 2x3 vs 2x3");
+        assert_eq!(refusal(|| bad_matmul(Tape::no_grad_inference())), record);
+        let record = refusal(|| bad_gather(Tape::new()));
+        assert_eq!(record, "tape op `gather_rows`: index 5 out of range 0..2");
+        assert_eq!(refusal(|| bad_gather(Tape::no_grad())), record);
     }
 }

@@ -162,7 +162,7 @@ pub const ALL_SPAN_NAMES: [&str; 21] = [
 
 /// Every autodiff tape op name, in tape recording order. The index of an
 /// op in this array is its slot in the op-profiler's accumulation table
-/// (`em-nn` pins the correspondence with a test), and the `em-lint`
+/// (`em-nn` looks each op's slot up here by name), and the `em-lint`
 /// `op_name` rule requires `op_stats` op strings to come from here.
 pub const ALL_OP_NAMES: [&str; 27] = [
     "leaf",

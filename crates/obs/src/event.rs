@@ -10,13 +10,18 @@
 //! | `span` | u64?   | id of the enclosing span, if any                    |
 //! | `type` | string | the variant tag (see [`EventKind`])                 |
 //!
-//! Variant fields are documented on each [`EventKind`] variant. Optional
-//! numeric fields encode as `null` when absent. The encoding is stable and
+//! The variants are declared once, as rows of the schema table in
+//! [`crate::names`]; `event_schema!` turns that table into
+//! [`EventKind`], the `EV_*` tag consts, the field encoder and parser,
+//! and [`EventKind::zero_volatile`]. Each row lists its fields in wire
+//! order, and each field's value type implements [`Field`]. Optional
+//! fields encode as `null` when absent. The encoding is stable and
 //! round-trips through [`Event::parse`], which the sink tests assert.
 
 use crate::level::Level;
-use crate::names;
 use std::fmt::Write as _;
+
+pub use crate::names::EventKind;
 
 /// One telemetry event, ready for a sink.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,419 +38,246 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The event payload variants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A span began. Fields: `id`, `parent` (nullable), `name`, `detail`
-    /// (nullable free-form label, e.g. `"PromptEM/REL-HETER"`).
-    SpanOpen {
-        /// Span id (process-wide unique).
-        id: u64,
-        /// Parent span id, if nested.
-        parent: Option<u64>,
-        /// Static span name (`"pretrain"`, `"teacher"`, ...).
-        name: String,
-        /// Optional dynamic label.
-        detail: Option<String>,
-    },
-    /// A span ended. Fields: `id`, `name`, `wall_us`, `heap_delta` (bytes,
-    /// signed; 0 unless the counting allocator is installed), `heap_peak`
-    /// (process peak bytes at close).
-    SpanClose {
-        /// Span id matching the open event.
-        id: u64,
-        /// Static span name (repeated for grep-ability).
-        name: String,
-        /// Wall-clock duration in microseconds.
-        wall_us: u64,
-        /// Live-heap delta across the span, in bytes.
-        heap_delta: i64,
-        /// Process peak heap at close, in bytes.
-        heap_peak: u64,
-    },
-    /// One training epoch finished. Fields: `epoch`, `train_loss`,
-    /// `valid_f1` (nullable, percent), `threshold` (nullable), `examples`
-    /// (training examples seen this epoch, after balancing/pruning),
-    /// `batches` (optimizer steps this epoch), `wall_us` (epoch duration).
-    EpochSummary {
-        /// 0-based epoch index.
-        epoch: u64,
-        /// Mean batch loss of the epoch.
-        train_loss: f64,
-        /// Validation F1 (percent) at the calibrated threshold, when
-        /// validation ran this epoch.
-        valid_f1: Option<f64>,
-        /// The calibrated decision threshold, when validation ran.
-        threshold: Option<f64>,
-        /// Training examples seen this epoch (post balancing/pruning).
-        examples: u64,
-        /// Optimizer steps (batches) taken this epoch.
-        batches: u64,
-        /// Wall-clock duration of the epoch in microseconds.
-        wall_us: u64,
-    },
-    /// Pseudo-labels were selected (paper §4.2). Fields: `count`, `tpr`
-    /// (nullable), `tnr` (nullable) — quality is only known when gold
-    /// labels were supplied for auditing (Table 5).
-    PseudoSelect {
-        /// Pseudo-labels moved from D_U into D_L.
-        count: u64,
-        /// True-positive rate against audit labels.
-        tpr: Option<f64>,
-        /// True-negative rate against audit labels.
-        tnr: Option<f64>,
-    },
-    /// Dynamic data pruning fired (paper §4.3). Fields: `dropped`,
-    /// `passes` (MC-Dropout passes used for MC-EL2N).
-    Prune {
-        /// Training examples removed by this pruning event.
-        dropped: u64,
-        /// MC-Dropout passes used to score them.
-        passes: u64,
-    },
-    /// One MLM pretraining optimizer step. Fields: `step`, `mlm_loss`.
-    PretrainStep {
-        /// 0-based optimizer step.
-        step: u64,
-        /// The step's masked-LM loss.
-        mlm_loss: f64,
-    },
-    /// A blocking query batch completed. Fields: `candidates`.
-    Block {
-        /// Candidate pairs produced.
-        candidates: u64,
-    },
-    /// The tape sanitizer found a non-finite value or gradient during
-    /// backward (`PROMPTEM_SANITIZE=1`). Fields: `op` (tape op name),
-    /// `node` (tape node index), `stage` (`"value"` or `"grad"`), `bad`
-    /// (non-finite element count), `total` (element count).
-    NonFinite {
-        /// Name of the tape op that produced the poisoned buffer.
-        op: String,
-        /// Tape node index (stable within one tape).
-        node: u64,
-        /// Which buffer is poisoned: `"value"` or `"grad"`.
-        stage: String,
-        /// Number of NaN/Inf elements.
-        bad: u64,
-        /// Total elements in the buffer.
-        total: u64,
-    },
-    /// A graph audit ran over a recorded tape at loss construction.
-    /// Fields: `nodes` (tape size), `dead` (nodes unreachable from the
-    /// loss), `detached` (parameter leaves with no gradient path to the
-    /// loss), `unused` (unfrozen store parameters never placed on the tape).
-    Audit {
-        /// Total recorded tape nodes.
-        nodes: u64,
-        /// Nodes computed but unreachable from the loss.
-        dead: u64,
-        /// On-tape parameter leaves with no gradient path from the loss.
-        detached: u64,
-        /// Unfrozen store parameters that never entered the tape.
-        unused: u64,
-    },
-    /// Free-form log line. Fields: `level`, `text`.
-    Message {
-        /// Severity.
-        level: Level,
-        /// The message.
-        text: String,
-    },
-    /// A histogram of MC-Dropout uncertainty scores (paper §4.2/§4.3).
-    /// Fields: `source` (which scorer, e.g. `"pseudo_uncertainty"`),
-    /// `lo`/`hi` (value range covered), `mean`, `counts` (linear bins
-    /// over `[lo, hi]`; total observations is their sum).
-    UncHist {
-        /// Which uncertainty scorer produced the values.
-        source: String,
-        /// Smallest observed value (left edge of bin 0).
-        lo: f64,
-        /// Largest observed value (right edge of the last bin).
-        hi: f64,
-        /// Mean of the observed values.
-        mean: f64,
-        /// Observation counts per linear bin across `[lo, hi]`.
-        counts: Vec<u64>,
-    },
-    /// One registry metric sampled into the trace (emitted at shutdown so
-    /// traces are self-contained). Fields: `name` (label-folded, e.g.
-    /// `nn_optimizer_steps{opt="adamw"}`), `kind` (`counter`/`gauge`/
-    /// `histogram`), `value` (counter total, gauge value, or histogram
-    /// mean), `count` (histogram observations; null otherwise), and
-    /// `p50`/`p95`/`p99` (histogram percentiles; null otherwise).
-    Metric {
-        /// Metric name with labels folded in.
-        name: String,
-        /// `"counter"`, `"gauge"`, or `"histogram"`.
-        kind: String,
-        /// Counter total, gauge value, or histogram mean.
-        value: f64,
-        /// Histogram observation count.
-        count: Option<u64>,
-        /// Estimated 50th percentile (histograms only).
-        p50: Option<f64>,
-        /// Estimated 95th percentile (histograms only).
-        p95: Option<f64>,
-        /// Estimated 99th percentile (histograms only).
-        p99: Option<f64>,
-    },
-    /// A training checkpoint was durably written (atomic temp → fsync →
-    /// rename). Fields: `step` (optimizer-step or round tag), `bytes`
-    /// (encoded size), `kept` (files remaining after rotation).
-    CkptSave {
-        /// Monotone tag: optimizer step (pretrain) or round (self-train).
-        step: u64,
-        /// Encoded checkpoint size in bytes.
-        bytes: u64,
-        /// Checkpoint files kept on disk after rotation.
-        kept: u64,
-    },
-    /// A run resumed from a checkpoint. The counters record the work the
-    /// resumed process *skips*, so a manifest built from its trace matches
-    /// an uninterrupted same-seed run (`em-prof` adds them back in).
-    /// Fields: `step`, `pretrain_steps`, `epochs`, `batches`.
-    CkptRestore {
-        /// The checkpoint tag resumed from.
-        step: u64,
-        /// Pretrain optimizer steps already taken before the checkpoint.
-        pretrain_steps: u64,
-        /// Epoch summaries the dead process had already emitted.
-        epochs: u64,
-        /// Batches accounted in those epoch summaries.
-        batches: u64,
-    },
-    /// A non-finite batch loss was detected and the batch skipped instead
-    /// of aborting the run. Fields: `phase` (e.g. `"pretrain"`,
-    /// `"finetune"`), `step` (batch counter in that phase), `consecutive`
-    /// (run length of bad batches so far).
-    RecoveredBatch {
-        /// Which training phase recovered.
-        phase: String,
-        /// The phase's batch/step counter at the failure.
-        step: u64,
-        /// Consecutive bad batches including this one.
-        consecutive: u64,
-    },
-    /// A transient I/O failure triggered a bounded retry with deterministic
-    /// backoff. Fields: `op` (operation name, e.g. `"ckpt_write"`),
-    /// `attempt` (1-based failed attempt), `delay_ms` (backoff before the
-    /// next attempt; 0 on the terminal event), `gave_up` (true on the
-    /// terminal event emitted when the bounded retry is exhausted and the
-    /// error is returned to the caller).
-    IoRetry {
-        /// The retried operation.
-        op: String,
-        /// The attempt that just failed (1-based).
-        attempt: u64,
-        /// Backoff applied before the next attempt, in milliseconds.
-        delay_ms: u64,
-        /// True when the retry budget is exhausted and the caller gets the
-        /// error — the trace-visible alternative to failing silently.
-        gave_up: bool,
-    },
-    /// Aggregated tape-op counters flushed at a stage boundary, one event
-    /// per op name with nonzero activity since the previous flush. The
-    /// enclosing `span` field attributes the totals to their phase.
-    /// Fields: `op` (tape op name from [`names::ALL_OP_NAMES`]),
-    /// `fwd_calls`/`fwd_us` (forward recordings and their wall time),
-    /// `bwd_calls`/`bwd_us` (backward visits and their wall time),
-    /// `elems` (output elements produced forward), `bytes` (net heap
-    /// allocated across forward recordings; 0 without the counting
-    /// allocator).
-    OpStats {
-        /// Tape op name (`"matmul"`, `"softmax_rows"`, ...).
-        op: String,
-        /// Forward recordings of this op since the last flush.
-        fwd_calls: u64,
-        /// Wall time of those forward recordings, in microseconds.
-        fwd_us: u64,
-        /// Backward visits of this op since the last flush.
-        bwd_calls: u64,
-        /// Wall time of those backward visits, in microseconds.
-        bwd_us: u64,
-        /// Output elements produced by the forward recordings.
-        elems: u64,
-        /// Net heap bytes allocated across the forward recordings.
-        bytes: u64,
-    },
-    /// A periodic trainer heartbeat (emitted every `--progress-every`
-    /// ticks; see [`crate::heartbeat`]). Fields: `phase` (training phase
-    /// name, e.g. `"pretrain"`, `"tune"`, `"mc_dropout"`), `done`/`total`
-    /// (ticks completed / expected; `total` is 0 when unknown), `examples`
-    /// (examples processed so far), `ex_per_sec` (examples per second
-    /// since the heartbeat started), `loss` (mean loss over the ticks
-    /// since the previous beat; null when the phase has no loss),
-    /// `eta_us` (projected microseconds to completion; null when `total`
-    /// is unknown or the rate is zero), `tape_nodes` (cumulative autodiff
-    /// tape nodes recorded process-wide), `heap_peak` (process peak heap
-    /// bytes; 0 without the counting allocator).
-    Progress {
-        /// Training phase name.
-        phase: String,
-        /// Ticks (batches/steps/passes) completed so far.
-        done: u64,
-        /// Expected total ticks; 0 when unknown.
-        total: u64,
-        /// Examples processed so far.
-        examples: u64,
-        /// Examples per second since the heartbeat started.
-        ex_per_sec: f64,
-        /// Mean loss over the ticks since the previous beat.
-        loss: Option<f64>,
-        /// Projected microseconds to completion.
-        eta_us: Option<u64>,
-        /// Cumulative autodiff tape nodes recorded process-wide.
-        tape_nodes: u64,
-        /// Process peak heap bytes (0 without the counting allocator).
-        heap_peak: u64,
-    },
-    /// The run's identity card, emitted once as the first trace line so
-    /// every trace (and the bench-history entries distilled from it) is
-    /// self-describing. Fields: `seed`, `config` (FNV-1a fingerprint of
-    /// the resolved config, hex), `git_sha` (nullable; read from
-    /// `.git/HEAD` when the process runs inside a checkout), `build`
-    /// (`"debug"` or `"release"`), `schema` (run-meta schema version).
-    RunMeta {
-        /// The run seed (repeated from the envelope for grep-ability).
-        seed: u64,
-        /// FNV-1a 64 fingerprint of the resolved config, as hex.
-        config: String,
-        /// Git commit SHA of the working tree, when discoverable.
-        git_sha: Option<String>,
-        /// Build profile: `"debug"` or `"release"`.
-        build: String,
-        /// Schema version of this event (see [`crate::RUN_META_SCHEMA`]).
-        schema: u64,
-    },
-    /// One serve request reached a terminal outcome. Fields: `id` (the
-    /// client-chosen request id), `pairs` (match pairs in the request),
-    /// `queue` (mailbox depth at admission), `wall_us` (admission →
-    /// reply), `outcome` (`"ok"`, `"deadline_exceeded"`, `"failed"`, or
-    /// `"bad_request"`).
-    Request {
-        /// Client-chosen request id.
-        id: String,
-        /// Match pairs carried by the request.
-        pairs: u64,
-        /// Mailbox depth observed at admission.
-        queue: u64,
-        /// Microseconds from admission to the reply being written.
-        wall_us: u64,
-        /// Terminal outcome tag.
-        outcome: String,
-    },
-    /// Admission control shed a serve request instead of queuing it
-    /// unboundedly. Fields: `id`, `reason` (`"queue_full"`, `"draining"`,
-    /// `"duplicate_id"`, ...), `retry_after_ms` (client backoff hint).
-    Reject {
-        /// Client-chosen request id.
-        id: String,
-        /// Why the request was shed.
-        reason: String,
-        /// Suggested client backoff before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// The serve supervisor replaced a dead or wedged worker actor.
-    /// Fields: `worker` (slot index), `restarts` (consecutive restarts of
-    /// this slot, 1-based), `backoff_ms` (bounded exponential backoff slept
-    /// before the respawn), `reason` (`"panic"` or `"wedged"`).
-    WorkerRestart {
-        /// Worker slot index.
-        worker: u64,
-        /// Consecutive restarts of this slot including this one.
-        restarts: u64,
-        /// Backoff slept before respawning, in milliseconds.
-        backoff_ms: u64,
-        /// What the supervisor detected: `"panic"` or `"wedged"`.
-        reason: String,
-    },
-    /// A graceful serve drain completed: terminal request tallies at the
-    /// moment the service stopped answering. Fields: `completed`,
-    /// `rejected`, `failed`, `restarts`.
-    Drain {
-        /// Requests answered with a match decision.
-        completed: u64,
-        /// Requests shed by admission control.
-        rejected: u64,
-        /// Requests answered with a typed failure (deadline, worker loss).
-        failed: u64,
-        /// Worker restarts over the process lifetime.
-        restarts: u64,
-    },
-}
-
-impl EventKind {
-    /// The `type` tag used in the JSONL encoding.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            EventKind::SpanOpen { .. } => names::EV_SPAN_OPEN,
-            EventKind::SpanClose { .. } => names::EV_SPAN_CLOSE,
-            EventKind::EpochSummary { .. } => names::EV_EPOCH_SUMMARY,
-            EventKind::PseudoSelect { .. } => names::EV_PSEUDO_SELECT,
-            EventKind::Prune { .. } => names::EV_PRUNE,
-            EventKind::PretrainStep { .. } => names::EV_PRETRAIN_STEP,
-            EventKind::Block { .. } => names::EV_BLOCK,
-            EventKind::NonFinite { .. } => names::EV_NON_FINITE,
-            EventKind::Audit { .. } => names::EV_AUDIT,
-            EventKind::Message { .. } => names::EV_MESSAGE,
-            EventKind::UncHist { .. } => names::EV_UNC_HIST,
-            EventKind::Metric { .. } => names::EV_METRIC,
-            EventKind::CkptSave { .. } => names::EV_CKPT_SAVE,
-            EventKind::CkptRestore { .. } => names::EV_CKPT_RESTORE,
-            EventKind::RecoveredBatch { .. } => names::EV_RECOVERED_BATCH,
-            EventKind::IoRetry { .. } => names::EV_IO_RETRY,
-            EventKind::OpStats { .. } => names::EV_OP_STATS,
-            EventKind::Progress { .. } => names::EV_PROGRESS,
-            EventKind::RunMeta { .. } => names::EV_RUN_META,
-            EventKind::Request { .. } => names::EV_REQUEST,
-            EventKind::Reject { .. } => names::EV_REJECT,
-            EventKind::WorkerRestart { .. } => names::EV_WORKER_RESTART,
-            EventKind::Drain { .. } => names::EV_DRAIN,
+/// Generate the event schema from one table. Each row reads
+///
+/// ```text
+/// /// docs
+/// Variant = EV_CONST "tag", DefaultLevel {
+///     /// docs
+///     field: Type,
+///     timing_field: u64 [volatile],
+///     renamed: u64 as "wire_key",
+/// }
+/// ```
+///
+/// and yields the `EventKind::Variant` struct variant, the `EV_CONST`
+/// tag const, an `ALL_EVENT_TAGS` entry, and the variant's arms of
+/// `type_tag`, the default level, the field encoder and parser, and
+/// [`EventKind::zero_volatile`]. Fields are encoded in row order under
+/// their own name unless `as` gives another wire key; `[volatile]` marks
+/// a field that measures time, rate or memory rather than a decision.
+macro_rules! event_schema {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@zero $field:ident) => {};
+    (@zero $field:ident volatile) => { *$field = Default::default() };
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $konst:ident $tag:literal, $level:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty $([$vol:ident])? $(as $key:literal)?
+            ),* $(,)?
         }
-    }
+    )*) => {
+        $(
+            #[doc = concat!("`", $tag, "` — the tag of [`EventKind::", stringify!($variant), "`].")]
+            pub const $konst: &str = $tag;
+        )*
 
-    /// The severity a stderr filter applies to this event.
-    pub fn level(&self) -> Level {
-        match self {
-            EventKind::Message { level, .. } => *level,
-            EventKind::NonFinite { .. } => Level::Error,
-            // An audit that found nothing is routine; one with findings is
-            // actionable.
-            EventKind::Audit { dead, detached, .. } => {
-                if *dead > 0 || *detached > 0 {
-                    Level::Warn
-                } else {
-                    Level::Debug
+        /// Every event type tag, in schema order.
+        pub const ALL_EVENT_TAGS: [&str; [$($konst),*].len()] = [$($konst),*];
+
+        /// The event payload variants, one per `type` tag.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $(
+                $(#[$meta])*
+                $variant {
+                    $(
+                        $(#[$fmeta])*
+                        $field: $ty,
+                    )*
+                },
+            )*
+        }
+
+        impl EventKind {
+            /// The `type` tag used in the JSONL encoding.
+            pub fn type_tag(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $konst,)*
                 }
             }
-            // Skipping a batch, retrying I/O, shedding a request, or losing
-            // a worker is a recovery, not business as usual — surface it.
-            EventKind::RecoveredBatch { .. }
-            | EventKind::IoRetry { .. }
-            | EventKind::Reject { .. }
-            | EventKind::WorkerRestart { .. } => Level::Warn,
-            EventKind::EpochSummary { .. }
-            | EventKind::PseudoSelect { .. }
-            | EventKind::Prune { .. }
-            | EventKind::CkptRestore { .. }
-            | EventKind::Drain { .. }
-            | EventKind::RunMeta { .. } => Level::Info,
-            EventKind::CkptSave { .. } => Level::Debug,
-            EventKind::SpanOpen { .. }
-            | EventKind::SpanClose { .. }
-            | EventKind::PretrainStep { .. }
-            | EventKind::Block { .. }
-            | EventKind::UncHist { .. }
-            | EventKind::Metric { .. }
-            | EventKind::OpStats { .. }
-            | EventKind::Request { .. }
-            | EventKind::Progress { .. } => Level::Debug,
+
+            /// The severity the schema table gives this kind; see
+            /// [`EventKind::level`] for the data-dependent overrides.
+            pub(crate) fn default_level(&self) -> $crate::Level {
+                match self {
+                    $(EventKind::$variant { .. } => $crate::Level::$level,)*
+                }
+            }
+
+            /// Zero every field the schema marks `[volatile]` (timing,
+            /// rate and heap measurements), keeping the decisions. Numbers
+            /// become 0 and optional values `None`.
+            #[allow(unused_variables)]
+            pub fn zero_volatile(&mut self) {
+                match self {
+                    $(EventKind::$variant { $($field),* } => {
+                        $($crate::event::event_schema!(@zero $field $($vol)?);)*
+                    })*
+                }
+            }
+
+            /// Append `,"key":value` for every field, in wire order.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(EventKind::$variant { $($field),* } => {
+                        $($crate::event::push_field(
+                            out,
+                            $crate::event::event_schema!(@key $field $($key)?),
+                            $field,
+                        );)*
+                    })*
+                }
+            }
+
+            /// Read the fields of the kind tagged `tag` from a parsed line.
+            pub(crate) fn read_fields(
+                tag: &str,
+                fields: &[(String, $crate::event::JsonVal)],
+            ) -> Result<EventKind, String> {
+                Ok(match tag {
+                    $($konst => EventKind::$variant {
+                        $($field: $crate::event::read_field(
+                            fields,
+                            $crate::event::event_schema!(@key $field $($key)?),
+                        )?,)*
+                    },)*
+                    other => return Err(format!("unknown event type '{other}'")),
+                })
+            }
+        }
+    };
+}
+pub(crate) use event_schema;
+
+/// A value type an event field can hold: how it is written into a JSONL
+/// line and read back from the parsed line. Sibling flat-JSON formats
+/// (`em-prof`'s bench history) use the same impls through [`push_field`]
+/// and [`read_field`].
+pub trait Field: Sized {
+    /// Append the value's JSON encoding to `out`.
+    fn write_json(&self, out: &mut String);
+    /// Decode the value from its parsed JSON form.
+    fn read_json(v: &JsonVal) -> Result<Self, String>;
+}
+
+fn expected<T>(what: &str, got: &JsonVal) -> Result<T, String> {
+    Err(format!("is not {what}: {got:?}"))
+}
+
+/// Numbers are written with `Display` (for `f64`, the shortest form that
+/// reads back to the same bits) and read back with an `as` cast.
+macro_rules! number_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read_json(v: &JsonVal) -> Result<Self, String> {
+                match v {
+                    JsonVal::Num(n) => Ok(*n as $t),
+                    other => expected("a number", other),
+                }
+            }
+        }
+    )*};
+}
+number_field!(u64, i64, f64);
+
+impl Field for bool {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read_json(v: &JsonVal) -> Result<Self, String> {
+        match v {
+            JsonVal::Bool(b) => Ok(*b),
+            other => expected("a bool", other),
         }
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+impl Field for String {
+    fn write_json(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+    fn read_json(v: &JsonVal) -> Result<Self, String> {
+        match v {
+            JsonVal::Str(s) => Ok(s.clone()),
+            other => expected("a string", other),
+        }
+    }
+}
+
+impl Field for Level {
+    fn write_json(&self, out: &mut String) {
+        push_json_str(out, self.name());
+    }
+    fn read_json(v: &JsonVal) -> Result<Self, String> {
+        let name = String::read_json(v)?;
+        Level::from_name(&name).ok_or_else(|| format!("is not a level: {name:?}"))
+    }
+}
+
+impl Field for Vec<u64> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+    fn read_json(v: &JsonVal) -> Result<Self, String> {
+        match v {
+            JsonVal::Arr(vs) => Ok(vs.iter().map(|v| *v as u64).collect()),
+            other => expected("an array", other),
+        }
+    }
+}
+
+/// `None` is written as `null`.
+impl<T: Field> Field for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read_json(v: &JsonVal) -> Result<Self, String> {
+        match v {
+            JsonVal::Null => Ok(None),
+            other => T::read_json(other).map(Some),
+        }
+    }
+}
+
+/// Append `,"key":value` to a flat JSON object under construction.
+pub fn push_field<T: Field>(out: &mut String, key: &str, v: &T) {
+    out.push(',');
+    push_json_str(out, key);
+    out.push(':');
+    v.write_json(out);
+}
+
+/// Read the first field named `key` from a parsed flat object.
+pub fn read_field<T: Field>(fields: &[(String, JsonVal)], key: &str) -> Result<T, String> {
+    let v = fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("missing field '{key}'"))?;
+    T::read_json(v).map_err(|e| format!("field '{key}' {e}"))
+}
+
+/// Append `s` as a JSON string literal, escaping exactly what
+/// [`parse_flat_object`] unescapes: `\" \\ \n \t \r` and the other
+/// control characters as `\uXXXX`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -463,37 +295,17 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, ",\"{key}\":{v}");
-        }
-        None => {
-            let _ = write!(out, ",\"{key}\":null");
-        }
-    }
-}
-
-fn push_opt_f64(out: &mut String, key: &str, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, ",\"{key}\":{v}");
-        }
-        None => {
-            let _ = write!(out, ",\"{key}\":null");
+impl EventKind {
+    /// The severity a stderr filter applies to this event: the schema
+    /// table's default, except that a message carries its own level and
+    /// an audit with findings is actionable.
+    pub fn level(&self) -> Level {
+        match self {
+            EventKind::Message { level, .. } => *level,
+            EventKind::Audit { dead, detached, .. } if *dead > 0 || *detached > 0 => Level::Warn,
+            _ => self.default_level(),
         }
     }
-}
-
-fn push_u64_array(out: &mut String, key: &str, vs: &[u64]) {
-    let _ = write!(out, ",\"{key}\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
 }
 
 impl Event {
@@ -505,483 +317,23 @@ impl Event {
             "{{\"seq\":{},\"seed\":{},\"t_us\":{}",
             self.seq, self.seed, self.t_us
         );
-        push_opt_u64(&mut s, "span", self.span);
+        push_field(&mut s, "span", &self.span);
         let _ = write!(s, ",\"type\":\"{}\"", self.kind.type_tag());
-        match &self.kind {
-            EventKind::SpanOpen {
-                id,
-                parent,
-                name,
-                detail,
-            } => {
-                let _ = write!(s, ",\"id\":{id}");
-                push_opt_u64(&mut s, "parent", *parent);
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"detail\":");
-                match detail {
-                    Some(d) => push_json_str(&mut s, d),
-                    None => s.push_str("null"),
-                }
-            }
-            EventKind::SpanClose {
-                id,
-                name,
-                wall_us,
-                heap_delta,
-                heap_peak,
-            } => {
-                let _ = write!(s, ",\"id\":{id}");
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                let _ = write!(
-                    s,
-                    ",\"wall_us\":{wall_us},\"heap_delta\":{heap_delta},\"heap_peak\":{heap_peak}"
-                );
-            }
-            EventKind::EpochSummary {
-                epoch,
-                train_loss,
-                valid_f1,
-                threshold,
-                examples,
-                batches,
-                wall_us,
-            } => {
-                let _ = write!(s, ",\"epoch\":{epoch},\"train_loss\":{train_loss}");
-                push_opt_f64(&mut s, "valid_f1", *valid_f1);
-                push_opt_f64(&mut s, "threshold", *threshold);
-                let _ = write!(
-                    s,
-                    ",\"examples\":{examples},\"batches\":{batches},\"wall_us\":{wall_us}"
-                );
-            }
-            EventKind::PseudoSelect { count, tpr, tnr } => {
-                let _ = write!(s, ",\"count\":{count}");
-                push_opt_f64(&mut s, "tpr", *tpr);
-                push_opt_f64(&mut s, "tnr", *tnr);
-            }
-            EventKind::Prune { dropped, passes } => {
-                let _ = write!(s, ",\"dropped\":{dropped},\"passes\":{passes}");
-            }
-            EventKind::PretrainStep { step, mlm_loss } => {
-                let _ = write!(s, ",\"step\":{step},\"mlm_loss\":{mlm_loss}");
-            }
-            EventKind::Block { candidates } => {
-                let _ = write!(s, ",\"candidates\":{candidates}");
-            }
-            EventKind::NonFinite {
-                op,
-                node,
-                stage,
-                bad,
-                total,
-            } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(s, ",\"node\":{node}");
-                s.push_str(",\"stage\":");
-                push_json_str(&mut s, stage);
-                let _ = write!(s, ",\"bad\":{bad},\"total\":{total}");
-            }
-            EventKind::Audit {
-                nodes,
-                dead,
-                detached,
-                unused,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"nodes\":{nodes},\"dead\":{dead},\"detached\":{detached},\"unused\":{unused}"
-                );
-            }
-            EventKind::Message { level, text } => {
-                let _ = write!(s, ",\"level\":\"{}\"", level.name());
-                s.push_str(",\"text\":");
-                push_json_str(&mut s, text);
-            }
-            EventKind::UncHist {
-                source,
-                lo,
-                hi,
-                mean,
-                counts,
-            } => {
-                s.push_str(",\"source\":");
-                push_json_str(&mut s, source);
-                let _ = write!(s, ",\"lo\":{lo},\"hi\":{hi},\"mean\":{mean}");
-                push_u64_array(&mut s, "counts", counts);
-            }
-            EventKind::Metric {
-                name,
-                kind,
-                value,
-                count,
-                p50,
-                p95,
-                p99,
-            } => {
-                s.push_str(",\"name\":");
-                push_json_str(&mut s, name);
-                s.push_str(",\"kind\":");
-                push_json_str(&mut s, kind);
-                let _ = write!(s, ",\"value\":{value}");
-                push_opt_u64(&mut s, "count", *count);
-                push_opt_f64(&mut s, "p50", *p50);
-                push_opt_f64(&mut s, "p95", *p95);
-                push_opt_f64(&mut s, "p99", *p99);
-            }
-            EventKind::CkptSave { step, bytes, kept } => {
-                let _ = write!(s, ",\"step\":{step},\"bytes\":{bytes},\"kept\":{kept}");
-            }
-            EventKind::CkptRestore {
-                step,
-                pretrain_steps,
-                epochs,
-                batches,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"pretrain_steps\":{pretrain_steps},\"epochs\":{epochs},\"batches\":{batches}"
-                );
-            }
-            EventKind::RecoveredBatch {
-                phase,
-                step,
-                consecutive,
-            } => {
-                s.push_str(",\"phase\":");
-                push_json_str(&mut s, phase);
-                let _ = write!(s, ",\"step\":{step},\"consecutive\":{consecutive}");
-            }
-            EventKind::IoRetry {
-                op,
-                attempt,
-                delay_ms,
-                gave_up,
-            } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(
-                    s,
-                    ",\"attempt\":{attempt},\"delay_ms\":{delay_ms},\"gave_up\":{gave_up}"
-                );
-            }
-            EventKind::OpStats {
-                op,
-                fwd_calls,
-                fwd_us,
-                bwd_calls,
-                bwd_us,
-                elems,
-                bytes,
-            } => {
-                s.push_str(",\"op\":");
-                push_json_str(&mut s, op);
-                let _ = write!(
-                    s,
-                    ",\"fwd_calls\":{fwd_calls},\"fwd_us\":{fwd_us},\"bwd_calls\":{bwd_calls},\"bwd_us\":{bwd_us},\"elems\":{elems},\"bytes\":{bytes}"
-                );
-            }
-            EventKind::Progress {
-                phase,
-                done,
-                total,
-                examples,
-                ex_per_sec,
-                loss,
-                eta_us,
-                tape_nodes,
-                heap_peak,
-            } => {
-                s.push_str(",\"phase\":");
-                push_json_str(&mut s, phase);
-                let _ = write!(
-                    s,
-                    ",\"done\":{done},\"total\":{total},\"examples\":{examples},\"ex_per_sec\":{ex_per_sec}"
-                );
-                push_opt_f64(&mut s, "loss", *loss);
-                push_opt_u64(&mut s, "eta_us", *eta_us);
-                let _ = write!(s, ",\"tape_nodes\":{tape_nodes},\"heap_peak\":{heap_peak}");
-            }
-            EventKind::RunMeta {
-                seed,
-                config,
-                git_sha,
-                build,
-                schema,
-            } => {
-                let _ = write!(s, ",\"run_seed\":{seed}");
-                s.push_str(",\"config\":");
-                push_json_str(&mut s, config);
-                s.push_str(",\"git_sha\":");
-                match git_sha {
-                    Some(sha) => push_json_str(&mut s, sha),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"build\":");
-                push_json_str(&mut s, build);
-                let _ = write!(s, ",\"schema\":{schema}");
-            }
-            EventKind::Request {
-                id,
-                pairs,
-                queue,
-                wall_us,
-                outcome,
-            } => {
-                s.push_str(",\"id\":");
-                push_json_str(&mut s, id);
-                let _ = write!(
-                    s,
-                    ",\"pairs\":{pairs},\"queue\":{queue},\"wall_us\":{wall_us}"
-                );
-                s.push_str(",\"outcome\":");
-                push_json_str(&mut s, outcome);
-            }
-            EventKind::Reject {
-                id,
-                reason,
-                retry_after_ms,
-            } => {
-                s.push_str(",\"id\":");
-                push_json_str(&mut s, id);
-                s.push_str(",\"reason\":");
-                push_json_str(&mut s, reason);
-                let _ = write!(s, ",\"retry_after_ms\":{retry_after_ms}");
-            }
-            EventKind::WorkerRestart {
-                worker,
-                restarts,
-                backoff_ms,
-                reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"worker\":{worker},\"restarts\":{restarts},\"backoff_ms\":{backoff_ms}"
-                );
-                s.push_str(",\"reason\":");
-                push_json_str(&mut s, reason);
-            }
-            EventKind::Drain {
-                completed,
-                rejected,
-                failed,
-                restarts,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"completed\":{completed},\"rejected\":{rejected},\"failed\":{failed},\"restarts\":{restarts}"
-                );
-            }
-        }
+        self.kind.write_fields(&mut s);
         s.push('}');
         s
     }
 
     /// Parse one JSONL line produced by [`Event::to_json`].
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_json_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}' in {line}"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(*n),
-                other => Err(format!("field '{key}' is not a number: {other:?}")),
-            }
-        };
-        let opt_num = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(Some(*n)),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a number or null: {other:?}")),
-            }
-        };
-        let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(s.clone()),
-                other => Err(format!("field '{key}' is not a string: {other:?}")),
-            }
-        };
-        let opt_text = |key: &str| -> Result<Option<String>, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(Some(s.clone())),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a string or null: {other:?}")),
-            }
-        };
-        let u64_array = |key: &str| -> Result<Vec<u64>, String> {
-            match get(key)? {
-                JsonVal::Arr(vs) => Ok(vs.iter().map(|v| *v as u64).collect()),
-                other => Err(format!("field '{key}' is not an array: {other:?}")),
-            }
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonVal::Bool(b) => Ok(*b),
-                other => Err(format!("field '{key}' is not a bool: {other:?}")),
-            }
-        };
-        let tag = text("type")?;
-        let kind = match tag.as_str() {
-            names::EV_SPAN_OPEN => EventKind::SpanOpen {
-                id: num("id")? as u64,
-                parent: opt_num("parent")?.map(|v| v as u64),
-                name: text("name")?,
-                detail: opt_text("detail")?,
-            },
-            names::EV_SPAN_CLOSE => EventKind::SpanClose {
-                id: num("id")? as u64,
-                name: text("name")?,
-                wall_us: num("wall_us")? as u64,
-                heap_delta: num("heap_delta")? as i64,
-                heap_peak: num("heap_peak")? as u64,
-            },
-            names::EV_EPOCH_SUMMARY => EventKind::EpochSummary {
-                epoch: num("epoch")? as u64,
-                train_loss: num("train_loss")?,
-                valid_f1: opt_num("valid_f1")?,
-                threshold: opt_num("threshold")?,
-                examples: num("examples")? as u64,
-                batches: num("batches")? as u64,
-                wall_us: num("wall_us")? as u64,
-            },
-            names::EV_PSEUDO_SELECT => EventKind::PseudoSelect {
-                count: num("count")? as u64,
-                tpr: opt_num("tpr")?,
-                tnr: opt_num("tnr")?,
-            },
-            names::EV_PRUNE => EventKind::Prune {
-                dropped: num("dropped")? as u64,
-                passes: num("passes")? as u64,
-            },
-            names::EV_PRETRAIN_STEP => EventKind::PretrainStep {
-                step: num("step")? as u64,
-                mlm_loss: num("mlm_loss")?,
-            },
-            names::EV_BLOCK => EventKind::Block {
-                candidates: num("candidates")? as u64,
-            },
-            names::EV_NON_FINITE => EventKind::NonFinite {
-                op: text("op")?,
-                node: num("node")? as u64,
-                stage: text("stage")?,
-                bad: num("bad")? as u64,
-                total: num("total")? as u64,
-            },
-            names::EV_AUDIT => EventKind::Audit {
-                nodes: num("nodes")? as u64,
-                dead: num("dead")? as u64,
-                detached: num("detached")? as u64,
-                unused: num("unused")? as u64,
-            },
-            names::EV_MESSAGE => EventKind::Message {
-                level: Level::from_name(&text("level")?)
-                    .ok_or_else(|| format!("bad level in {line}"))?,
-                text: text("text")?,
-            },
-            names::EV_UNC_HIST => EventKind::UncHist {
-                source: text("source")?,
-                lo: num("lo")?,
-                hi: num("hi")?,
-                mean: num("mean")?,
-                counts: u64_array("counts")?,
-            },
-            names::EV_METRIC => EventKind::Metric {
-                name: text("name")?,
-                kind: text("kind")?,
-                value: num("value")?,
-                count: opt_num("count")?.map(|v| v as u64),
-                p50: opt_num("p50")?,
-                p95: opt_num("p95")?,
-                p99: opt_num("p99")?,
-            },
-            names::EV_CKPT_SAVE => EventKind::CkptSave {
-                step: num("step")? as u64,
-                bytes: num("bytes")? as u64,
-                kept: num("kept")? as u64,
-            },
-            names::EV_CKPT_RESTORE => EventKind::CkptRestore {
-                step: num("step")? as u64,
-                pretrain_steps: num("pretrain_steps")? as u64,
-                epochs: num("epochs")? as u64,
-                batches: num("batches")? as u64,
-            },
-            names::EV_RECOVERED_BATCH => EventKind::RecoveredBatch {
-                phase: text("phase")?,
-                step: num("step")? as u64,
-                consecutive: num("consecutive")? as u64,
-            },
-            names::EV_IO_RETRY => EventKind::IoRetry {
-                op: text("op")?,
-                attempt: num("attempt")? as u64,
-                delay_ms: num("delay_ms")? as u64,
-                gave_up: boolean("gave_up")?,
-            },
-            names::EV_OP_STATS => EventKind::OpStats {
-                op: text("op")?,
-                fwd_calls: num("fwd_calls")? as u64,
-                fwd_us: num("fwd_us")? as u64,
-                bwd_calls: num("bwd_calls")? as u64,
-                bwd_us: num("bwd_us")? as u64,
-                elems: num("elems")? as u64,
-                bytes: num("bytes")? as u64,
-            },
-            names::EV_PROGRESS => EventKind::Progress {
-                phase: text("phase")?,
-                done: num("done")? as u64,
-                total: num("total")? as u64,
-                examples: num("examples")? as u64,
-                ex_per_sec: num("ex_per_sec")?,
-                loss: opt_num("loss")?,
-                eta_us: opt_num("eta_us")?.map(|v| v as u64),
-                tape_nodes: num("tape_nodes")? as u64,
-                heap_peak: num("heap_peak")? as u64,
-            },
-            names::EV_RUN_META => EventKind::RunMeta {
-                seed: num("run_seed")? as u64,
-                config: text("config")?,
-                git_sha: opt_text("git_sha")?,
-                build: text("build")?,
-                schema: num("schema")? as u64,
-            },
-            names::EV_REQUEST => EventKind::Request {
-                id: text("id")?,
-                pairs: num("pairs")? as u64,
-                queue: num("queue")? as u64,
-                wall_us: num("wall_us")? as u64,
-                outcome: text("outcome")?,
-            },
-            names::EV_REJECT => EventKind::Reject {
-                id: text("id")?,
-                reason: text("reason")?,
-                retry_after_ms: num("retry_after_ms")? as u64,
-            },
-            names::EV_WORKER_RESTART => EventKind::WorkerRestart {
-                worker: num("worker")? as u64,
-                restarts: num("restarts")? as u64,
-                backoff_ms: num("backoff_ms")? as u64,
-                reason: text("reason")?,
-            },
-            names::EV_DRAIN => EventKind::Drain {
-                completed: num("completed")? as u64,
-                rejected: num("rejected")? as u64,
-                failed: num("failed")? as u64,
-                restarts: num("restarts")? as u64,
-            },
-            other => return Err(format!("unknown event type '{other}'")),
-        };
+        let fields = parse_flat_object(line)?;
+        let tag: String = read_field(&fields, "type")?;
         Ok(Event {
-            seq: num("seq")? as u64,
-            seed: num("seed")? as u64,
-            t_us: num("t_us")? as u64,
-            span: opt_num("span")?.map(|v| v as u64),
-            kind,
+            seq: read_field(&fields, "seq")?,
+            seed: read_field(&fields, "seed")?,
+            t_us: read_field(&fields, "t_us")?,
+            span: read_field(&fields, "span")?,
+            kind: EventKind::read_fields(&tag, &fields)?,
         })
     }
 
@@ -1231,10 +583,6 @@ pub enum JsonVal {
 /// Parse a flat JSON object (string/number/bool/null/number-array values)
 /// into its key/value pairs in document order.
 pub fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    parse_json_object(s)
-}
-
-fn parse_json_object(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
     let mut chars = s.trim().chars().peekable();
     let mut out = Vec::new();
     if chars.next() != Some('{') {

@@ -2,7 +2,7 @@
 //!
 //! Zero dependencies. Three pieces:
 //!
-//! * **Spans** — [`span`] returns an RAII guard; dropping it emits a
+//! * **Spans** — [`span()`] returns an RAII guard; dropping it emits a
 //!   `span_close` event with wall-clock and heap deltas. Spans nest per
 //!   thread and every event carries the innermost span id.
 //! * **Metrics** — [`metrics`] is a registry of counters, gauges, and
@@ -151,7 +151,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard::open(name, None)
 }
 
-/// Like [`span`], with a free-form detail label (dataset name, method id).
+/// Like [`span()`], with a free-form detail label (dataset name, method id).
 pub fn span_with(name: &'static str, detail: impl Into<String>) -> SpanGuard {
     SpanGuard::open(name, Some(detail.into()))
 }

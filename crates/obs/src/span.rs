@@ -8,7 +8,7 @@
 //!
 //! Nesting is tracked per thread: events emitted while a guard is live carry
 //! the innermost span's id in their `span` field. When telemetry is
-//! disabled, [`crate::span`] returns an inert guard and costs two relaxed
+//! disabled, [`crate::span()`] returns an inert guard and costs two relaxed
 //! atomic loads.
 
 use crate::event::EventKind;

@@ -15,122 +15,36 @@
 //! still parse with [`Event::parse`] and line numbers match the original
 //! trace one-to-one.
 //!
-//! What is volatile (zeroed) vs semantic (kept):
-//!
-//! | event | zeroed | kept |
-//! |---|---|---|
-//! | envelope | `t_us` | `seq`, `seed`, `span` |
-//! | `span_close` | `wall_us`, `heap_delta`, `heap_peak` | `id`, `name` |
-//! | `epoch_summary` | `wall_us` | loss, F1, threshold, counts |
-//! | `op_stats` | `fwd_us`, `bwd_us`, `bytes` | op, call counts, `elems` |
-//! | `progress` | `ex_per_sec`, `eta_us`, `heap_peak` | phase, ticks, examples, `tape_nodes` |
-//! | `metric` (histogram) | `value`, `count`, percentiles | name, kind |
-//! | `ckpt_save` | `bytes` | `step`, `kept` |
-//! | everything else | — | all fields |
+//! The volatile set is declared in the event schema itself: every field
+//! the table in `em_obs::names` marks `[volatile]` (timing, rate and heap
+//! measurements — span and epoch wall times, `op_stats` wall times and
+//! bytes, `progress` rate/ETA/heap, `ckpt_save` bytes, and the `metric`
+//! count and percentiles) is zeroed by [`EventKind::zero_volatile`], plus
+//! the envelope's `t_us`. One rule depends on the data and is written out
+//! here: a histogram `metric` also zeroes its `value` (the mean of a
+//! timing distribution), so only its name and kind survive.
 //!
 //! `op_stats` call counts and `elems` are global sums over a swap-drain
 //! table, so they are invariant under worker interleaving; their wall
-//! times and allocator bytes are not. Histogram metrics are timing
-//! distributions, so only their identity survives. `progress.tape_nodes`
-//! is deliberately kept: scoring is tape-free on every thread count, so a
+//! times and allocator bytes are not. `progress.tape_nodes` is
+//! deliberately kept: scoring is tape-free on every thread count, so a
 //! divergence there means a recording tape leaked into an inference path.
 
 use em_obs::{Event, EventKind};
 
 /// The canonical (volatile-fields-zeroed) copy of one event.
 pub fn canonical_event(e: &Event) -> Event {
-    let kind = match e.kind.clone() {
-        EventKind::SpanClose { id, name, .. } => EventKind::SpanClose {
-            id,
-            name,
-            wall_us: 0,
-            heap_delta: 0,
-            heap_peak: 0,
-        },
-        EventKind::EpochSummary {
-            epoch,
-            train_loss,
-            valid_f1,
-            threshold,
-            examples,
-            batches,
-            ..
-        } => EventKind::EpochSummary {
-            epoch,
-            train_loss,
-            valid_f1,
-            threshold,
-            examples,
-            batches,
-            wall_us: 0,
-        },
-        EventKind::OpStats {
-            op,
-            fwd_calls,
-            bwd_calls,
-            elems,
-            ..
-        } => EventKind::OpStats {
-            op,
-            fwd_calls,
-            fwd_us: 0,
-            bwd_calls,
-            bwd_us: 0,
-            elems,
-            bytes: 0,
-        },
-        EventKind::Progress {
-            phase,
-            done,
-            total,
-            examples,
-            loss,
-            tape_nodes,
-            ..
-        } => EventKind::Progress {
-            phase,
-            done,
-            total,
-            examples,
-            ex_per_sec: 0.0,
-            loss,
-            eta_us: None,
-            tape_nodes,
-            heap_peak: 0,
-        },
-        EventKind::Metric {
-            name, kind, value, ..
-        } if kind != "histogram" => EventKind::Metric {
-            name,
-            kind,
-            value,
-            count: None,
-            p50: None,
-            p95: None,
-            p99: None,
-        },
-        EventKind::Metric { name, kind, .. } => EventKind::Metric {
-            name,
-            kind,
-            value: 0.0,
-            count: None,
-            p50: None,
-            p95: None,
-            p99: None,
-        },
-        EventKind::CkptSave { step, kept, .. } => EventKind::CkptSave {
-            step,
-            bytes: 0,
-            kept,
-        },
-        other => other,
-    };
+    let mut kind = e.kind.clone();
+    kind.zero_volatile();
+    if let EventKind::Metric { kind, value, .. } = &mut kind {
+        if kind == "histogram" {
+            *value = 0.0;
+        }
+    }
     Event {
-        seq: e.seq,
-        seed: e.seed,
         t_us: 0,
-        span: e.span,
         kind,
+        ..*e
     }
 }
 

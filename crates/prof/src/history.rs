@@ -17,7 +17,7 @@
 
 use crate::diff::{self, DiffReport, Thresholds};
 use crate::manifest::RunManifest;
-use em_obs::event::{parse_flat_object, JsonVal};
+use em_obs::event::{parse_flat_object, push_field, read_field};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -91,111 +91,55 @@ pub fn distill(m: &RunManifest) -> HistoryEntry {
     }
 }
 
-fn push_str_field(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl HistoryEntry {
     /// Encode as one flat JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
         let _ = write!(s, "{{\"schema\":\"{HISTORY_SCHEMA}\"");
-        let _ = write!(s, ",\"seed\":{}", self.seed);
-        push_str_field(&mut s, "config", &self.config);
-        match &self.git_sha {
-            Some(sha) => push_str_field(&mut s, "git_sha", sha),
-            None => s.push_str(",\"git_sha\":null"),
-        }
-        push_str_field(&mut s, "build", &self.build);
-        let _ = write!(s, ",\"events\":{}", self.events);
-        let _ = write!(s, ",\"total_wall_us\":{}", self.total_wall_us);
-        let _ = write!(s, ",\"peak_heap\":{}", self.peak_heap);
-        let _ = write!(s, ",\"optimizer_steps\":{}", self.optimizer_steps);
-        let _ = write!(s, ",\"epochs\":{}", self.epochs);
-        for (key, v) in [
-            ("best_valid_f1", self.best_valid_f1),
-            ("test_f1", self.test_f1),
-        ] {
-            match v {
-                Some(v) => {
-                    let _ = write!(s, ",\"{key}\":{v}");
-                }
-                None => {
-                    let _ = write!(s, ",\"{key}\":null");
-                }
-            }
-        }
-        let _ = write!(s, ",\"pseudo_selected\":{}", self.pseudo_selected);
-        let _ = write!(s, ",\"non_finite_events\":{}", self.non_finite_events);
-        let _ = write!(s, ",\"unclosed_spans\":{}", self.unclosed_spans);
-        let _ = write!(s, ",\"orphan_spans\":{}", self.orphan_spans);
+        push_field(&mut s, "seed", &self.seed);
+        push_field(&mut s, "config", &self.config);
+        push_field(&mut s, "git_sha", &self.git_sha);
+        push_field(&mut s, "build", &self.build);
+        push_field(&mut s, "events", &self.events);
+        push_field(&mut s, "total_wall_us", &self.total_wall_us);
+        push_field(&mut s, "peak_heap", &self.peak_heap);
+        push_field(&mut s, "optimizer_steps", &self.optimizer_steps);
+        push_field(&mut s, "epochs", &self.epochs);
+        push_field(&mut s, "best_valid_f1", &self.best_valid_f1);
+        push_field(&mut s, "test_f1", &self.test_f1);
+        push_field(&mut s, "pseudo_selected", &self.pseudo_selected);
+        push_field(&mut s, "non_finite_events", &self.non_finite_events);
+        push_field(&mut s, "unclosed_spans", &self.unclosed_spans);
+        push_field(&mut s, "orphan_spans", &self.orphan_spans);
         s.push('}');
         s
     }
 
     /// Parse one ledger line.
     pub fn parse(line: &str) -> Result<HistoryEntry, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}' in {line}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(*n as u64),
-                other => Err(format!("field '{key}' is not a number: {other:?}")),
-            }
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonVal::Num(n) => Ok(Some(*n)),
-                JsonVal::Null => Ok(None),
-                other => Err(format!("field '{key}' is not a number or null: {other:?}")),
-            }
-        };
-        let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(s.clone()),
-                other => Err(format!("field '{key}' is not a string: {other:?}")),
-            }
-        };
-        let schema = text("schema")?;
+        let f = parse_flat_object(line)?;
+        let schema: String = read_field(&f, "schema")?;
         if schema != HISTORY_SCHEMA {
             return Err(format!(
                 "unsupported history schema '{schema}' (want {HISTORY_SCHEMA})"
             ));
         }
         Ok(HistoryEntry {
-            seed: num("seed")?,
-            config: text("config")?,
-            git_sha: match get("git_sha")? {
-                JsonVal::Str(s) => Some(s.clone()),
-                JsonVal::Null => None,
-                other => return Err(format!("field 'git_sha' bad: {other:?}")),
-            },
-            build: text("build")?,
-            events: num("events")?,
-            total_wall_us: num("total_wall_us")?,
-            peak_heap: num("peak_heap")?,
-            optimizer_steps: num("optimizer_steps")?,
-            epochs: num("epochs")?,
-            best_valid_f1: opt_f64("best_valid_f1")?,
-            test_f1: opt_f64("test_f1")?,
-            pseudo_selected: num("pseudo_selected")?,
-            non_finite_events: num("non_finite_events")?,
-            unclosed_spans: num("unclosed_spans")?,
-            orphan_spans: num("orphan_spans")?,
+            seed: read_field(&f, "seed")?,
+            config: read_field(&f, "config")?,
+            git_sha: read_field(&f, "git_sha")?,
+            build: read_field(&f, "build")?,
+            events: read_field(&f, "events")?,
+            total_wall_us: read_field(&f, "total_wall_us")?,
+            peak_heap: read_field(&f, "peak_heap")?,
+            optimizer_steps: read_field(&f, "optimizer_steps")?,
+            epochs: read_field(&f, "epochs")?,
+            best_valid_f1: read_field(&f, "best_valid_f1")?,
+            test_f1: read_field(&f, "test_f1")?,
+            pseudo_selected: read_field(&f, "pseudo_selected")?,
+            non_finite_events: read_field(&f, "non_finite_events")?,
+            unclosed_spans: read_field(&f, "unclosed_spans")?,
+            orphan_spans: read_field(&f, "orphan_spans")?,
         })
     }
 }
@@ -421,6 +365,22 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].total_wall_us, 100);
         assert_eq!(loaded[1].total_wall_us, 200);
+    }
+
+    #[test]
+    fn escaped_identity_strings_survive_append_and_load() {
+        let dir = std::env::temp_dir().join(format!("em_prof_history_esc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ledger.jsonl");
+        std::fs::remove_file(&path).ok();
+        let mut e = entry(100, 80.0);
+        e.config = "line one\nline two\t\"quoted\" \\ \u{1}".into();
+        e.git_sha = Some("sha\r\n".into());
+        append(&path, &e).unwrap();
+        append(&path, &entry(200, 81.0)).unwrap();
+        let loaded = load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(loaded, vec![e, entry(200, 81.0)]);
     }
 
     #[test]

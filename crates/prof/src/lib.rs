@@ -15,7 +15,7 @@
 //! * [`ops`] — attribute tape-profiler `op_stats` events to their owning
 //!   phase: per-(phase, op) call counts, forward/backward wall time,
 //!   element counts, and allocated bytes.
-//! * [`diff`] / [`report`] — compare two manifests under configurable
+//! * [`mod@diff`] / [`report`] — compare two manifests under configurable
 //!   [`diff::Thresholds`] (the perf-regression gate `scripts/ci.sh` runs),
 //!   and render TTY reports plus the machine-readable `BENCH_report.json`.
 //! * [`canonical`] — the timing-stripped canonical form of a trace, and

@@ -4,6 +4,7 @@
 //! report` consumes). Any field a new event variant adds must round-trip
 //! or this test catches it.
 
+use em_obs::names::ALL_EVENT_TAGS;
 use em_obs::{Event, EventKind, Level};
 use proptest::prelude::*;
 
@@ -171,13 +172,25 @@ fn make_kind(
             backoff_ms: a % 500,
             reason: if opt & 1 != 0 { "panic" } else { "wedged" }.into(),
         },
-        _ => EventKind::Drain {
+        22 => EventKind::Drain {
             completed: a,
             rejected: b % 100,
             failed: a % 9,
             restarts: b % 7,
         },
+        _ => panic!("make_kind has no arm for kind index {idx}"),
     }
+}
+
+#[test]
+fn make_kind_yields_every_tag_exactly_once() {
+    let mut made: Vec<&str> = (0..ALL_EVENT_TAGS.len())
+        .map(|i| make_kind(i, 1, 2, 0.5, 0.25, "x".into(), vec![3], 0xF).type_tag())
+        .collect();
+    let mut want = ALL_EVENT_TAGS.to_vec();
+    made.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(made, want);
 }
 
 proptest! {
@@ -185,7 +198,7 @@ proptest! {
 
     #[test]
     fn every_event_kind_round_trips_through_the_reader(
-        kind_idx in 0usize..23,
+        kind_idx in 0..ALL_EVENT_TAGS.len(),
         ints in (0u64..1_000_000_000, 0u64..1_000_000, 0u64..1 << 40, 0u8..16),
         floats in (-1e9f64..1e9, 0.0f64..100.0),
         text in "[a-zA-Z0-9_ .\"\\\\/-]{0,16}",

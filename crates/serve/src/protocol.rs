@@ -18,7 +18,7 @@
 //! `"failed"`, `"bad_request"`). Parsing is total: torn or invalid lines
 //! return `Err`, never panic.
 
-use em_obs::event::{parse_flat_object, JsonVal};
+use em_obs::event::{parse_flat_object, push_json_str, JsonVal};
 
 /// A client-to-server request.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,26 +132,6 @@ pub enum Response {
         /// Total requests completed over the server's lifetime.
         completed: u64,
     },
-}
-
-/// Append `s` as a JSON string literal (the escape set `parse_string`
-/// in em-obs understands: `\" \\ \n \r \t \uXXXX`).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_u64_arr(out: &mut String, key: &str, vals: impl Iterator<Item = u64>) {

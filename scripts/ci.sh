@@ -16,6 +16,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (trace schema docs reach rustdoc through the event table)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p em-obs -p em-prof -p em-serve
+
 echo "==> perfbench checks (fingerprint, traced == untraced, served parity at tiny budgets)"
 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 

@@ -103,8 +103,10 @@ pub(crate) fn cmd_drive(args: &Args) -> Result<(), String> {
     }
     let connections: usize = args.get_parse("connections", 4usize)?;
     let pairs: Vec<(u32, u32)> = rows.iter().map(|&(l, r, _)| (l, r)).collect();
+    let clock = em_obs::Stopwatch::new();
     let decisions =
         em_serve::drive_pairs(&addr, &pairs, connections).map_err(|e| format!("{addr}: {e}"))?;
+    let secs = clock.secs();
 
     let mut out = String::from("left,right,gold,predicted\n");
     for (&(l, r, gold), &(_proba, decision)) in rows.iter().zip(&decisions) {
@@ -113,7 +115,12 @@ pub(crate) fn cmd_drive(args: &Args) -> Result<(), String> {
     if let Some(out_path) = args.get("out") {
         em_resilience::atomic_write(std::path::Path::new(out_path), out.as_bytes())
             .map_err(|e| format!("{out_path}: {e}"))?;
-        println!("drove {} pairs, wrote {out_path}", rows.len());
+        println!(
+            "drove {} pairs in {:.1} ms ({:.0} pairs/s), wrote {out_path}",
+            rows.len(),
+            secs * 1e3,
+            rows.len() as f64 / secs.max(1e-9)
+        );
     } else {
         print!("{out}");
     }

@@ -3,8 +3,8 @@
 //! in the workspace inside `crates/serve` (the `net-use` lint enforces
 //! exactly that).
 
-use crate::protocol::{Request, Response};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use crate::protocol::{write_line, Request, Response};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -18,9 +18,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to `addr` (`host:port`).
+    /// Connect to `addr` (`host:port`). The socket has Nagle's
+    /// algorithm off, so a pipelined request never waits for the ACK of
+    /// the one before it.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { stream, reader })
     }
@@ -28,9 +31,7 @@ impl Client {
     /// Send one request line. Pipelining is fine: responses may arrive
     /// in any order (match them up by id).
     pub fn send(&mut self, req: &Request) -> std::io::Result<()> {
-        self.stream.write_all(req.encode().as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        write_line(&mut self.stream, req.encode())
     }
 
     /// Block for the next response line. A server-side close is

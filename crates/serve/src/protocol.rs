@@ -17,8 +17,27 @@
 //! typed `"error"` (`"rejected"`, `"deadline_exceeded"`, `"duplicate_id"`,
 //! `"failed"`, `"bad_request"`). Parsing is total: torn or invalid lines
 //! return `Err`, never panic.
+//!
+//! Framing: every line leaves the process as one [`write_line`] call on
+//! a `TCP_NODELAY` socket, and the server refuses request lines longer
+//! than [`MAX_LINE_BYTES`] with `bad_request` reason `line_too_long`.
 
 use em_obs::event::{parse_flat_object, push_json_str, JsonVal};
+use std::io::Write;
+
+/// Longest request line (without its `'\n'`) the server reads; a longer
+/// one is refused with `bad_request` reason `line_too_long` and the
+/// connection is closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Send one encoded line as a single `write_all` of the line plus its
+/// `'\n'`. Writing the newline separately would put a 1-byte segment
+/// behind the unacknowledged line, where Nagle's algorithm holds it
+/// until the peer's delayed ACK (up to ~40 ms on Linux).
+pub fn write_line(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
+}
 
 /// A client-to-server request.
 #[derive(Debug, Clone, PartialEq)]
@@ -514,6 +533,28 @@ mod tests {
         for bad in ["", "{}", "{\"id\":\"x\"}", "{\"id\":\"x\",\"ok\":false}"] {
             assert!(Response::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    /// Records the bytes of every `write` call it receives.
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_issues_one_write_per_line() {
+        let mut log = WriteLog(Vec::new());
+        let line = Response::Pong { id: "p".into() }.encode();
+        write_line(&mut log, line.clone()).expect("in-memory write");
+        assert_eq!(log.0, vec![format!("{line}\n").into_bytes()]);
     }
 
     #[test]

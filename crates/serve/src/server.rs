@@ -10,12 +10,12 @@
 
 use crate::lock;
 use crate::mailbox::{Mailbox, SendError};
-use crate::protocol::{line_id, Request, Response, StatsBody};
+use crate::protocol::{line_id, write_line, Request, Response, StatsBody, MAX_LINE_BYTES};
 use crate::supervisor::{Supervisor, SupervisorCfg};
 use crate::worker::{Job, ReplySink, ScorerFactory};
 use em_resilience::failpoint::{self, Action};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -208,6 +208,11 @@ impl Server {
                     let stats = Arc::clone(&self.stats);
                     let flags = Arc::clone(&self.flags);
                     let cfg = Arc::clone(&self.cfg);
+                    // Reap readers whose connection already closed, so a
+                    // long-lived server holds handles for live ones only.
+                    for done in readers.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
                     readers.push(std::thread::spawn(move || {
                         conn_loop(stream, mailbox, stats, flags, cfg);
                     }));
@@ -241,16 +246,16 @@ impl Server {
 }
 
 fn write_response(writer: &Arc<Mutex<TcpStream>>, resp: &Response) {
-    let mut s = lock(writer);
+    let line = resp.encode();
     // A vanished client is its own problem; the server carries on.
-    let _ = s.write_all(resp.encode().as_bytes());
-    let _ = s.write_all(b"\n");
-    let _ = s.flush();
+    let _ = write_line(&mut *lock(writer), line);
 }
 
 /// One connection's reader: line in, response (or admission) out. The
 /// read timeout doubles as the stop-flag poll so no reader outlives the
-/// drain by more than ~100ms.
+/// drain by more than ~100ms. A line longer than [`MAX_LINE_BYTES`] is
+/// refused `line_too_long` and the connection closed, so no client can
+/// grow the buffer without bound.
 fn conn_loop(
     stream: TcpStream,
     mailbox: Mailbox<Job>,
@@ -259,49 +264,62 @@ fn conn_loop(
     cfg: Arc<ServeCfg>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    // Responses are single-write lines; with Nagle on, one written while
+    // the previous response is unacknowledged would wait for the
+    // client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
     let mut reader = BufReader::new(stream);
     let mut seen_ids: HashSet<String> = HashSet::new();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         if flags.stop.load(Ordering::Relaxed) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so an overlong line is
+        // detected without buffering the rest of it.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        let refusal = match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF (any partial tail is torn; drop it)
-            Ok(_) => {
-                handle_line(
-                    line.trim(),
-                    &mut seen_ids,
-                    &writer,
-                    &mailbox,
-                    &stats,
-                    &flags,
-                    &cfg,
-                );
-                line.clear();
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                "line_too_long".to_string()
             }
+            Ok(_) => match std::str::from_utf8(&line) {
+                Ok(text) => {
+                    handle_line(
+                        text.trim(),
+                        &mut seen_ids,
+                        &writer,
+                        &mailbox,
+                        &stats,
+                        &flags,
+                        &cfg,
+                    );
+                    line.clear();
+                    continue;
+                }
+                Err(e) => format!("unreadable line: {e}"),
+            },
             // Timeout: bytes read so far stay appended to `line`; keep
             // accumulating until the newline arrives.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                // Undecodable bytes (invalid UTF-8) or a dead socket:
-                // answer once if possible, then drop the connection.
-                stats.bad_lines.fetch_add(1, Ordering::Relaxed);
-                write_response(
-                    &writer,
-                    &Response::BadRequest {
-                        id: String::new(),
-                        reason: format!("unreadable line: {e}"),
-                    },
-                );
-                return;
-            }
-        }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            // A dead socket: answer once if possible.
+            Err(e) => format!("unreadable line: {e}"),
+        };
+        // Refused line: answer it, then drop the connection.
+        stats.bad_lines.fetch_add(1, Ordering::Relaxed);
+        write_response(
+            &writer,
+            &Response::BadRequest {
+                id: String::new(),
+                reason: refusal,
+            },
+        );
+        return;
     }
 }
 

@@ -9,11 +9,10 @@
 //! bit-identical to an offline run over the same pairs.
 
 use crate::mailbox::Mailbox;
-use crate::protocol::Response;
+use crate::protocol::{write_line, Response};
 use crate::server::ServeStats;
 use crate::{lock, server};
 use em_obs::Stopwatch;
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,12 +44,10 @@ impl ReplySink {
     fn deliver(&self, resp: &Response) {
         match self {
             ReplySink::Tcp(stream) => {
-                let mut s = lock(stream);
+                let line = resp.encode();
                 // A vanished client must not take the worker down; the
                 // accounting in `Job::reply` already happened.
-                let _ = s.write_all(resp.encode().as_bytes());
-                let _ = s.write_all(b"\n");
-                let _ = s.flush();
+                let _ = write_line(&mut *lock(stream), line);
             }
             ReplySink::Collect(sink) => lock(sink).push(resp.clone()),
         }

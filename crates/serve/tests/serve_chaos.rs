@@ -1,10 +1,11 @@
 //! Chaos tests over a live loopback server: a worker killed mid-batch
 //! is restarted and every request is still answered exactly once; a
 //! wedged worker is superseded without double answers; overload sheds
-//! with typed rejections while every accepted request completes; and
-//! expired requests get `deadline_exceeded`, never silence.
+//! with typed rejections while every accepted request completes;
+//! expired requests get `deadline_exceeded`, never silence; and an
+//! overlong line is refused without taking the server down.
 
-use em_serve::protocol::{Request, Response};
+use em_serve::protocol::{Request, Response, MAX_LINE_BYTES};
 use em_serve::{Client, MatchScorer, ScorerFactory, ServeCfg, Server};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,4 +340,51 @@ fn duplicate_ids_ping_stats_and_bad_lines_are_typed() {
     }
     let _ = shutdown(&mut client);
     let _ = server.join().expect("server thread");
+}
+
+#[test]
+fn huge_line_is_refused_and_fresh_connections_are_still_served() {
+    let cfg = ServeCfg {
+        workers: 1,
+        ..Default::default()
+    };
+    let server = Server::bind(cfg, Arc::new(|| Box::new(EchoScorer))).expect("bind loopback");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let stats = server.stats();
+    let handle = thread::spawn(move || server.run().expect("server run"));
+
+    let mut huge = Client::connect(&addr).expect("connect");
+    // The server stops reading one byte past the cap and closes, so the
+    // tail of this send may fail; the refusal is already queued.
+    let _ = huge.send(&Request::Ping {
+        id: "x".repeat(MAX_LINE_BYTES + 4096),
+    });
+    match huge.recv().expect("refusal") {
+        Response::BadRequest { reason, .. } => assert_eq!(reason, "line_too_long"),
+        other => panic!("expected a line_too_long refusal, got {other:?}"),
+    }
+    assert!(
+        huge.recv().is_err(),
+        "the refused connection must be closed"
+    );
+    assert_eq!(stats.bad_lines.load(Ordering::Relaxed), 1);
+
+    let mut fresh = Client::connect(&addr).expect("connect");
+    assert_eq!(
+        fresh.call(&Request::Ping { id: "p".into() }).expect("ping"),
+        Response::Pong { id: "p".into() }
+    );
+    assert!(matches!(
+        fresh
+            .call(&Request::Match {
+                id: "m".into(),
+                pairs: vec![(3, 4)],
+                deadline_ms: None,
+            })
+            .expect("match"),
+        Response::Matched { .. }
+    ));
+    let _ = shutdown(&mut fresh);
+    let summary = handle.join().expect("server thread");
+    assert_eq!(summary.completed, 1);
 }
